@@ -5,7 +5,7 @@ workload:
 
 1. **Determinism**: ``TrialRunner`` produces bit-identical trial results
    for every worker count (serial vs a 4-worker pool).
-2. **Memoisation**: a warm :class:`~repro.runtime.CRPCache` makes a
+2. **Memoisation**: a warm :class:`~repro.runtime.ArtifactStore` makes a
    generation-heavy replay at least 2x faster than the cold run (on any
    hardware — this speedup does not depend on core count, unlike the
    pool speedup, which is also reported but only asserted to exist on

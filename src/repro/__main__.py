@@ -291,6 +291,62 @@ def _resume_mismatches(meta, workload: str, spec, trials: int, seed) -> list:
     ]
 
 
+def _run_args_ok(args: argparse.Namespace) -> bool:
+    """Check ``--resume``/``--retries``, printing why a run cannot start.
+
+    ``--resume`` implies ``--ledger``.
+    """
+    if args.resume and not args.run_id:
+        print("--resume needs --run-id (the run directory to pick up)")
+        return False
+    if args.resume:
+        args.ledger = True
+    if args.retries < 0:
+        print("--retries must be >= 0 (0 disables retrying)")
+        return False
+    return True
+
+
+def _open_run_ledger(args: argparse.Namespace, workload: str, spec, trials: int, **extra):
+    """Open the run ledger of a ``--ledger`` run, writing its ``meta.json``.
+
+    A ``--resume`` of a run whose ``meta.json`` disagrees with this
+    invocation is refused: the mismatches are printed and None comes
+    back (the caller exits 2).  A resumed run keeps its meta as it is;
+    any other run gets a fresh one, with ``extra`` fields added.
+    """
+    import dataclasses
+    from pathlib import Path
+
+    from repro.telemetry import RunLedger, new_run_id
+
+    ledger = RunLedger(Path(args.runs_dir) / (args.run_id or new_run_id(workload)))
+    meta = ledger.read_meta()
+    if args.resume and meta is not None:
+        mismatches = _resume_mismatches(meta, workload, spec, trials, args.seed)
+        if mismatches:
+            print(
+                f"cannot --resume {ledger.run_dir}: its meta.json "
+                "disagrees with this invocation"
+            )
+            for line in mismatches:
+                print("  " + line)
+            return None
+        return ledger
+    ledger.write_meta(
+        {
+            "workload": workload,
+            "spec": dataclasses.asdict(spec),
+            "trials": trials,
+            "workers": args.workers,
+            "shards": args.shards,
+            "master_seed": args.seed,
+            **extra,
+        }
+    )
+    return ledger
+
+
 def _results_match(a, b) -> bool:
     """Bit-identity for one (serial, parallel) result pair.
 
@@ -343,18 +399,10 @@ def _aggregate_cache_stats(results) -> dict:
 
 
 def cmd_trials(args: argparse.Namespace) -> int:
-    import dataclasses
-
     from repro.analysis.tables import TableBuilder
     from repro.runtime import TrialRunner
 
-    if args.resume and not args.run_id:
-        print("--resume needs --run-id (the run directory to pick up)")
-        return 2
-    if args.resume:
-        args.ledger = True
-    if args.retries < 0:
-        print("--retries must be >= 0 (0 disables retrying)")
+    if not _run_args_ok(args):
         return 2
 
     trial_fn, spec, columns = _resolve_workload(args)
@@ -373,38 +421,11 @@ def cmd_trials(args: argparse.Namespace) -> int:
 
     ledger = None
     if args.ledger:
-        from pathlib import Path
-
-        from repro.telemetry import RunLedger, new_run_id
-
-        run_id = args.run_id or new_run_id(args.workload)
-        ledger = RunLedger(Path(args.runs_dir) / run_id)
-        meta = ledger.read_meta()
-        if args.resume and meta is not None:
-            mismatches = _resume_mismatches(
-                meta, args.workload, spec, args.trials, args.seed
-            )
-            if mismatches:
-                print(
-                    f"cannot --resume {ledger.run_dir}: its meta.json "
-                    "disagrees with this invocation"
-                )
-                for line in mismatches:
-                    print("  " + line)
-                return 2
-        if not (args.resume and meta is not None):
-            ledger.write_meta(
-                {
-                    "workload": args.workload,
-                    "spec": dataclasses.asdict(spec),
-                    "trials": args.trials,
-                    "workers": args.workers,
-                    "shards": args.shards,
-                    "master_seed": args.seed,
-                    "eps": args.eps,
-                    "delta": args.delta,
-                }
-            )
+        ledger = _open_run_ledger(
+            args, args.workload, spec, args.trials, eps=args.eps, delta=args.delta
+        )
+        if ledger is None:
+            return 2
 
     serial = None
     if not args.skip_serial:
@@ -482,13 +503,7 @@ def cmd_atlas(args: argparse.Namespace) -> int:
 
     from repro.analysis import atlas as atlas_mod
 
-    if args.resume and not args.run_id:
-        print("--resume needs --run-id (the run directory to pick up)")
-        return 2
-    if args.resume:
-        args.ledger = True
-    if args.retries < 0:
-        print("--retries must be >= 0 (0 disables retrying)")
+    if not _run_args_ok(args):
         return 2
 
     spec = atlas_mod.smoke_spec() if args.smoke else atlas_mod.default_spec()
@@ -527,32 +542,9 @@ def cmd_atlas(args: argparse.Namespace) -> int:
 
     ledger = None
     if args.ledger:
-        from repro.telemetry import RunLedger, new_run_id
-
-        run_id = args.run_id or new_run_id("atlas")
-        ledger = RunLedger(Path(args.runs_dir) / run_id)
-        meta = ledger.read_meta()
-        if args.resume and meta is not None:
-            mismatches = _resume_mismatches(meta, "atlas", spec, trials, args.seed)
-            if mismatches:
-                print(
-                    f"cannot --resume {ledger.run_dir}: its meta.json "
-                    "disagrees with this invocation"
-                )
-                for line in mismatches:
-                    print("  " + line)
-                return 2
-        if not (args.resume and meta is not None):
-            ledger.write_meta(
-                {
-                    "workload": "atlas",
-                    "spec": dataclasses.asdict(spec),
-                    "trials": trials,
-                    "workers": args.workers,
-                    "shards": args.shards,
-                    "master_seed": args.seed,
-                }
-            )
+        ledger = _open_run_ledger(args, "atlas", spec, trials)
+        if ledger is None:
+            return 2
 
     payload, report = atlas_mod.run_atlas(
         spec,

@@ -173,7 +173,7 @@ class FleetSpec:
 
         Everything that changes the evaluated bits is included; the dtype
         tier is included too so cross-tier cache collisions are impossible
-        (see :func:`repro.runtime.cache.fleet_cache_key`).
+        (see :meth:`repro.runtime.store.ArtifactStore.get_or_generate_fleet`).
         """
         counts = self.chain_counts
         k_repr = counts[0] if len(set(counts)) == 1 else counts

@@ -9,22 +9,21 @@ The three pieces compose into the standard experiment loop:
   executor for independent trials with a serial fallback, per-trial
   timing, structured :class:`TrialError` capture, infrastructure-only
   retries (:class:`RetryPolicy`), per-trial timeouts with pool rebuild,
-  and crash-safe resume from a run ledger;
+  and crash-safe resume from a run ledger — all through one pool driver;
 * :mod:`repro.runtime.chunking` — blocked CRP generation/evaluation that
   keeps the working set cache-resident;
 * :mod:`repro.runtime.store` — :class:`ArtifactStore`, content-addressed
   ``.npz`` memoisation of generated artifacts (CRP sets, fleet response
   planes) keyed by :func:`artifact_digest`, with LRU eviction and
-  hit/miss/bytes stats (:mod:`repro.runtime.cache` keeps the deprecated
-  :class:`CRPCache` facade);
-* :mod:`repro.runtime.sharding` — work-stealing multi-pool execution
-  behind ``TrialRunner(shards=N)``, with per-shard mergeable ledgers.
+  hit/miss/bytes stats;
+* :mod:`repro.runtime.sharding` — the work-stealing scheduler every pool
+  run draws its chunks from, and the multi-pool execution behind
+  ``TrialRunner(shards=N)``, with per-shard mergeable ledgers.
 
 Picklable standard workloads live in :mod:`repro.runtime.workloads`
 (imported explicitly, not re-exported, to keep this package import-light).
 """
 
-from repro.runtime.cache import CRPCache, cache_key, fleet_cache_key
 from repro.runtime.chunking import (
     DEFAULT_BLOCK_SIZE,
     eval_blocked,
@@ -55,9 +54,6 @@ __all__ = [
     "ArtifactStore",
     "artifact_digest",
     "hash_challenges",
-    "CRPCache",
-    "cache_key",
-    "fleet_cache_key",
     "WorkStealingScheduler",
     "partition_items",
     "run_sharded",

@@ -13,8 +13,21 @@ results for any ``workers`` setting: every trial's randomness comes from
 its own :class:`~numpy.random.SeedSequence` child (see
 :mod:`repro.runtime.seeding`), results are re-ordered by trial index, and
 nothing a trial computes may depend on shared mutable state.  Trial
-functions must be picklable (module-level) to run on the pool; closures
-and lambdas silently degrade to the serial path with a warning.
+functions must be picklable (module-level) to run on the pool: the
+runner pickles ``(trial_fn, trial_kwargs)`` once before any pool opens,
+and closures and lambdas run serially with a warning instead.
+
+Execution paths
+---------------
+``workers=1, shards=1`` runs serially in the caller's process.  Every
+pooled run goes through one fault-tolerant driver, :class:`_PoolDriver`,
+which feeds a process pool from a
+:class:`~repro.runtime.sharding.WorkStealingScheduler`.  An unsharded
+pool is a one-shard run: a scheduler with a single deque (so nothing is
+ever stolen) and a driver running inline, appending to ``ledger.jsonl``.
+``shards > 1`` runs one driver thread per shard through
+:func:`~repro.runtime.sharding.run_sharded`, each appending to its own
+``ledger-shardNN.jsonl``.
 
 Failure semantics
 -----------------
@@ -29,12 +42,12 @@ untouched.  Serial and pooled runs produce identical trial errors.
 
 *Infrastructure failures* — the machinery around the trial broke: a
 worker died (``BrokenProcessPool``), a worker hung past ``trial_timeout``
-(the pool is killed and rebuilt), or the function/arguments could not be
+(the pool is killed and rebuilt), or a trial's result could not be
 pickled.  Worker death and hangs are transient, so the affected trials
 are resubmitted under a :class:`RetryPolicy` (capped exponential backoff
 whose jitter derives from the trial's own seed, keeping reruns
-deterministic); pickling failures are deterministic, so the runner falls
-back to in-process serial execution instead.  A trial whose retry budget
+deterministic); pickling failures are deterministic, so the driver
+finishes its trials in-process instead.  A trial whose retry budget
 is exhausted is recorded as a ``category="infra"`` / ``"timeout"``
 :class:`TrialError` rather than crashing the run.
 
@@ -48,11 +61,11 @@ re-execute.
 from __future__ import annotations
 
 import dataclasses
+import pickle
 import threading
 import time
 import traceback as _traceback
 import warnings
-from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
@@ -65,6 +78,7 @@ from repro.telemetry.meter import QueryMeter, metered
 from repro.telemetry.spans import SpanRecorder, recording
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
+    from repro.runtime.sharding import WorkStealingScheduler
     from repro.telemetry.ledger import RunLedger
 
 
@@ -92,6 +106,9 @@ class TrialContext:
 
 #: A trial function: (context, **kwargs) -> any picklable result.
 TrialFn = Callable[..., Any]
+
+#: One schedulable unit: ``(trial index, its SeedSequence)``.
+TrialItem = Tuple[int, np.random.SeedSequence]
 
 #: Maximum traceback characters kept on a TrialError (ledger size guard).
 _TRACEBACK_LIMIT = 16_384
@@ -466,7 +483,7 @@ def _execute_trial(
 
 def _execute_chunk(
     trial_fn: TrialFn,
-    items: List[Tuple[int, np.random.SeedSequence]],
+    items: List[TrialItem],
     kwargs: Dict[str, Any],
     submitted_at: Optional[float],
     attempts: int,
@@ -502,7 +519,7 @@ def _stop_pool(pool: ProcessPoolExecutor) -> None:
 
 
 def _failed_results(
-    items: List[Tuple[int, np.random.SeedSequence]],
+    items: List[TrialItem],
     attempts: int,
     category: str,
     exc_type: str,
@@ -528,6 +545,244 @@ def _failed_results(
     ]
 
 
+class _PoolDriver:
+    """One process pool fed with chunks from a scheduler: the fault machine.
+
+    Chunks come from ``scheduler.acquire(shard_id, chunk)`` — the
+    :class:`~repro.runtime.sharding.WorkStealingScheduler` — so the same
+    driver serves an unsharded run (one shard, one deque, nothing to
+    steal) and each shard of a sharded run (stealing from the others
+    when its own deque runs dry).  The driver keeps at most ``workers``
+    chunks in flight, so a chunk's ``trial_timeout`` deadline, armed at
+    submit, measures execution rather than queue wait.  A hung worker
+    gets its pool killed and rebuilt; a dead worker's pool is rebuilt
+    after harvesting every future that already holds a result.  Lost
+    chunks retry under the :class:`RetryPolicy` with seed-derived
+    backoff.  A chunk whose result cannot cross the process boundary
+    makes the driver finish its remaining trials in-process.
+
+    ``label`` names the worker in warnings and error messages
+    (``"worker process"``, ``"shard 0 worker"``).  ``fallback`` is the
+    reason the pool was abandoned (None while it stayed usable) and
+    ``pooled`` how many results came back through the pool.
+    """
+
+    def __init__(
+        self,
+        scheduler: "WorkStealingScheduler",
+        shard_id: int,
+        label: str,
+        trial_fn: TrialFn,
+        kwargs: Dict[str, Any],
+        workers: int,
+        chunk: int,
+        retry: RetryPolicy,
+        trial_timeout: Optional[float],
+        emit: Callable[[TrialResult], None],
+        cancel: Optional[threading.Event] = None,
+    ) -> None:
+        self.scheduler = scheduler
+        self.shard_id = shard_id
+        self.label = label
+        self.trial_fn = trial_fn
+        self.kwargs = kwargs
+        self.workers = workers
+        self.chunk = chunk
+        self.retry = retry
+        self.trial_timeout = trial_timeout
+        self.emit = emit
+        self.cancel = cancel
+        self.results: List[TrialResult] = []
+        self.fallback: Optional[str] = None
+        self.pooled = 0
+
+    def _cancelled(self) -> bool:
+        """Whether the run's cooperative stop event has been set."""
+        return self.cancel is not None and self.cancel.is_set()
+
+    def _finish(self, chunk_results: List[TrialResult]) -> None:
+        for result in chunk_results:
+            self.emit(result)
+        self.results.extend(chunk_results)
+
+    def _drain_serially(self, reason: str, leftovers: List[List[TrialItem]]) -> None:
+        """Give up the pool: finish leftovers and queued chunks in-process.
+
+        After its own leftovers the driver keeps acquiring from the
+        scheduler (stealing included), so a shard that lost its pool
+        degrades to one in-thread worker instead of stranding trials.
+        """
+        self.fallback = reason
+        self.pooled = len(self.results)
+        items = sorted((item for chunk in leftovers for item in chunk), key=lambda i: i[0])
+        while True:
+            for index, seed in items:
+                self._finish([_execute_trial(self.trial_fn, index, seed, self.kwargs)])
+            if self._cancelled():
+                return
+            items = self.scheduler.acquire(self.shard_id, self.chunk)
+            if not items:
+                return
+
+    def run(self) -> None:
+        """Drive the pool until the scheduler is dry and nothing is in flight."""
+        try:
+            pool = ProcessPoolExecutor(max_workers=self.workers)
+        except Exception as exc:  # no POSIX semaphores, fork failure, ...
+            self._drain_serially(f"{type(exc).__name__}: {exc}", [])
+            return
+
+        pending: Dict[Future, List[TrialItem]] = {}
+        deadlines: Dict[Future, float] = {}
+        attempts: Dict[int, int] = {}  # keyed by the chunk's first index
+        trial_timeout = self.trial_timeout
+
+        def submit(items: List[TrialItem], charge: bool = True) -> None:
+            ckey = items[0][0]
+            if charge:
+                attempts[ckey] = attempts.get(ckey, 0) + 1
+            future = pool.submit(
+                _execute_chunk, self.trial_fn, items, self.kwargs, time.time(),
+                attempts[ckey],
+            )
+            pending[future] = items
+            if trial_timeout is not None:
+                deadlines[future] = time.monotonic() + trial_timeout * len(items)
+
+        def rebuild() -> None:
+            nonlocal pool
+            _stop_pool(pool)
+            pending.clear()
+            deadlines.clear()
+            pool = ProcessPoolExecutor(max_workers=self.workers)
+
+        def retry_or_fail(
+            items: List[TrialItem],
+            category: str,
+            exc_type: str,
+            message: str,
+            warning: str,
+            seconds: float = 0.0,
+        ) -> None:
+            ckey = items[0][0]
+            if attempts[ckey] >= self.retry.max_attempts:
+                self._finish(
+                    _failed_results(
+                        items, attempts[ckey], category, exc_type, message, seconds
+                    )
+                )
+                return
+            warnings.warn(
+                f"{warning}, retrying (attempt {attempts[ckey] + 1})",
+                RuntimeWarning,
+            )
+            delay = self.retry.delay(attempts[ckey], items[0][1])
+            if delay > 0:
+                time.sleep(delay)
+            submit(items)
+
+        while True:
+            # A set cancel event stops acquisition; in-flight chunks
+            # finish and are recorded.
+            while not self._cancelled() and len(pending) < self.workers:
+                items = self.scheduler.acquire(self.shard_id, self.chunk)
+                if not items:
+                    break
+                submit(items)
+            if not pending:
+                break  # scheduler dry (or cancelled) and nothing in flight
+            timeout = None
+            if deadlines:
+                timeout = max(0.0, min(deadlines.values()) - time.monotonic())
+            done, _ = wait(set(pending), timeout=timeout, return_when=FIRST_COMPLETED)
+            if not done:
+                now = time.monotonic()
+                overdue = {pending[f][0][0] for f, d in deadlines.items() if d <= now}
+                if not overdue:
+                    continue
+                # A worker hung past its deadline.  Everything in flight
+                # dies with the pool; innocents are resubmitted without
+                # being charged an attempt.
+                victims = sorted(pending.values(), key=lambda c: c[0][0])
+                rebuild()
+                for items in victims:
+                    if items[0][0] not in overdue:
+                        submit(items, charge=False)
+                        continue
+                    retry_or_fail(
+                        items,
+                        "timeout",
+                        "TimeoutError",
+                        f"trial exceeded trial_timeout={trial_timeout}s on "
+                        f"every one of {attempts[items[0][0]]} attempt(s); "
+                        f"{self.label} killed",
+                        f"worker hung past {trial_timeout}s on trials "
+                        f"{[i for i, _ in items]}; {self.label} killed, pool rebuilt",
+                        seconds=float(trial_timeout),
+                    )
+                continue
+            for future in done:
+                items = pending.pop(future, None)
+                if items is None:
+                    continue  # belonged to a pool torn down this round
+                deadlines.pop(future, None)
+                try:
+                    chunk_results = future.result()
+                except BrokenProcessPool:
+                    # A worker died (SIGKILL, OOM, segfault) and the pool
+                    # is unusable.  Chunks whose futures already hold a
+                    # successful result are harvested first — only the
+                    # chunks genuinely lost with the pool are charged an
+                    # attempt and resubmitted.
+                    victims = [items]
+                    for other, oitems in list(pending.items()):
+                        harvest = None
+                        if other.done():
+                            try:
+                                harvest = other.result()
+                            except Exception:
+                                harvest = None
+                        if harvest is None:
+                            victims.append(oitems)
+                        else:
+                            pending.pop(other)
+                            deadlines.pop(other, None)
+                            self._finish(harvest)
+                    rebuild()
+                    for vitems in sorted(victims, key=lambda c: c[0][0]):
+                        retry_or_fail(
+                            vitems,
+                            "infra",
+                            "BrokenProcessPool",
+                            f"{self.label} died; retry budget exhausted after "
+                            f"{attempts[vitems[0][0]]} attempt(s)",
+                            f"{self.label} died on trials "
+                            f"{[i for i, _ in vitems]}; pool rebuilt",
+                        )
+                    break  # remaining futures in `done` died with the pool
+                except Exception as exc:
+                    # Deterministic plumbing failure (a result cannot cross
+                    # the process boundary): retrying cannot help.
+                    _stop_pool(pool)
+                    self._drain_serially(
+                        f"{type(exc).__name__}: {exc}",
+                        [items] + list(pending.values()),
+                    )
+                    return
+                else:
+                    self._finish(chunk_results)
+        pool.shutdown()
+
+
+def _warn_serial_fallback(reason: str) -> None:
+    """Warn that a run (or its remainder) goes serial, and why."""
+    warnings.warn(
+        f"process pool unavailable ({reason}); falling back to serial execution",
+        RuntimeWarning,
+        stacklevel=4,
+    )
+
+
 class TrialRunner:
     """Fan independent trials out over a process pool, deterministically.
 
@@ -539,21 +794,23 @@ class TrialRunner:
         current process — no pool, no pickling requirements.
     chunk_size:
         Trials submitted per pool task.  Defaults to
-        ``ceil(num_trials / (4 * workers))``, which keeps every worker
-        busy while amortising inter-process overhead.  Retry and timeout
-        act at chunk granularity: a smaller ``chunk_size`` narrows the
-        blast radius of a dead or hung worker.  At most ``workers``
-        chunks are in flight at once (the rest wait in a parent-side
-        backlog), so a chunk's ``trial_timeout`` deadline starts when it
-        starts executing, not when the run was launched.
+        ``ceil(num_trials / (4 * workers))`` for one shard, which keeps
+        every worker busy while amortising inter-process overhead, and to
+        :func:`~repro.runtime.sharding.default_shard_chunk` for more.
+        Retry and timeout act at chunk granularity: a smaller
+        ``chunk_size`` narrows the blast radius of a dead or hung worker.
+        At most ``workers`` chunks per pool are in flight at once (the
+        rest stay queued in the parent), so a chunk's ``trial_timeout``
+        deadline starts when it starts executing, not when the run was
+        launched.
     shards:
-        Number of independent process pools.  ``1`` (the default) keeps
-        the single-pool path; more runs the work-stealing sharded
-        executor (:mod:`repro.runtime.sharding`): each shard drives its
-        own pool of ``workers`` processes, idle shards steal queued
-        trials from the tail of busy ones, and with a ledger attached
-        each shard appends to its own ``ledger-shardNN.jsonl``.  Results
-        stay bit-identical to the serial path for any shard count.
+        Number of independent process pools.  ``1`` (the default) is one
+        pool driven inline; more runs the work-stealing sharded executor
+        (:mod:`repro.runtime.sharding`): each shard drives its own pool
+        of ``workers`` processes from its own thread, idle shards steal
+        queued trials from the tail of busy ones, and with a ledger
+        attached each shard appends to its own ``ledger-shardNN.jsonl``.
+        Results stay bit-identical to the serial path for any shard count.
     """
 
     def __init__(
@@ -643,37 +900,21 @@ class TrialRunner:
             if on_result is not None:
                 on_result(result)
 
-        pooled: List[TrialResult] = []
-        serial: List[TrialResult] = []
+        results: List[TrialResult] = []
         if not items:
             executor = "replay"
         elif cancel is not None and cancel.is_set():
             executor = "replay" if replayed else "serial"
-        elif self.shards > 1:
-            pooled, executor = self._run_sharded(
-                trial_fn, items, kwargs, retry, trial_timeout, ledger,
-                on_result=on_result, cancel=cancel,
-            )
-        elif self.workers == 1:
-            serial = self._run_serial(trial_fn, items, kwargs, emit, cancel)
+        elif self.workers == 1 and self.shards == 1:
+            results = self._run_serial(trial_fn, items, kwargs, emit, cancel)
             executor = "serial"
         else:
-            pooled, leftover, fallback = self._run_pool(
-                trial_fn, items, kwargs, retry, trial_timeout, emit, cancel
+            results, executor = self._run_parallel(
+                trial_fn, items, kwargs, retry, trial_timeout, ledger, emit,
+                on_result, cancel,
             )
-            if fallback is None:
-                executor = "process-pool"
-            else:
-                warnings.warn(
-                    f"process pool unavailable ({fallback}); "
-                    "falling back to serial execution",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                serial = self._run_serial(trial_fn, leftover, kwargs, emit, cancel)
-                executor = "mixed" if pooled else "serial"
 
-        results = pooled + serial + list(replayed.values())
+        results = results + list(replayed.values())
         results.sort(key=lambda r: r.index)
         return TrialReport(
             results=results,
@@ -688,27 +929,55 @@ class TrialRunner:
         )
 
     # ------------------------------------------------------------------
-    def _run_sharded(
+    def _run_parallel(
         self,
         trial_fn: TrialFn,
-        items: List[Tuple[int, np.random.SeedSequence]],
+        items: List[TrialItem],
         kwargs: Dict[str, Any],
         retry: RetryPolicy,
         trial_timeout: Optional[float],
         ledger: Optional["RunLedger"],
-        on_result: Optional[Callable[[TrialResult], None]] = None,
-        cancel: Optional[threading.Event] = None,
-    ) -> "tuple[List[TrialResult], str]":
-        """The work-stealing multi-pool path (``shards > 1``).
+        emit: Callable[[TrialResult], None],
+        on_result: Optional[Callable[[TrialResult], None]],
+        cancel: Optional[threading.Event],
+    ) -> Tuple[List[TrialResult], str]:
+        """Every process-pool run: one inline driver, or one per shard.
 
-        Ledger writes go to per-shard files inside :func:`run_sharded`
-        (the main handle's ``read_latest`` merges them), so the
-        single-file ``emit`` used by the other paths is bypassed.  A
-        shard that loses its pool to a pickling failure drains serially
-        and is reported with a warning, mirroring the single-pool
-        fallback.
+        ``(trial_fn, kwargs)`` is pickled once first; when that fails no
+        pool is opened and the whole run goes serial with a warning.  A
+        one-shard run drives a single-deque scheduler in this thread and
+        writes through ``emit`` to the main ledger.  ``shards > 1`` goes
+        through :func:`~repro.runtime.sharding.run_sharded`, whose
+        drivers append to per-shard ledger files instead (the main
+        handle's ``read_latest`` merges them).
         """
-        from repro.runtime.sharding import run_sharded
+        from repro.runtime.sharding import WorkStealingScheduler, run_sharded
+
+        try:
+            pickle.dumps((trial_fn, kwargs))
+        except Exception as exc:
+            _warn_serial_fallback(f"{type(exc).__name__}: {exc}")
+            return self._run_serial(trial_fn, items, kwargs, emit, cancel), "serial"
+
+        if self.shards == 1:
+            driver = _PoolDriver(
+                scheduler=WorkStealingScheduler([items]),
+                shard_id=0,
+                label="worker process",
+                trial_fn=trial_fn,
+                kwargs=kwargs,
+                workers=self.workers,
+                chunk=self.chunk_size or max(1, -(-len(items) // (4 * self.workers))),
+                retry=retry,
+                trial_timeout=trial_timeout,
+                emit=emit,
+                cancel=cancel,
+            )
+            driver.run()
+            if driver.fallback is None:
+                return driver.results, "process-pool"
+            _warn_serial_fallback(driver.fallback)
+            return driver.results, "mixed" if driver.pooled else "serial"
 
         results, scheduler, fallbacks = run_sharded(
             trial_fn,
@@ -796,7 +1065,7 @@ class TrialRunner:
     def _run_serial(
         self,
         trial_fn: TrialFn,
-        items: List[Tuple[int, np.random.SeedSequence]],
+        items: List[TrialItem],
         kwargs: Dict[str, Any],
         emit: Callable[[TrialResult], None],
         cancel: Optional[threading.Event] = None,
@@ -809,200 +1078,3 @@ class TrialRunner:
             emit(result)
             results.append(result)
         return results
-
-    def _run_pool(
-        self,
-        trial_fn: TrialFn,
-        items: List[Tuple[int, np.random.SeedSequence]],
-        kwargs: Dict[str, Any],
-        retry: RetryPolicy,
-        trial_timeout: Optional[float],
-        emit: Callable[[TrialResult], None],
-        cancel: Optional[threading.Event] = None,
-    ) -> "tuple[List[TrialResult], List[Tuple[int, np.random.SeedSequence]], Optional[str]]":
-        """The fault-tolerant pool path.
-
-        Returns ``(results, leftover_items, fallback_reason)``; a non-None
-        ``fallback_reason`` means the pool is unusable for the leftover
-        items (unpicklable function, no OS semaphores, ...) and the caller
-        should finish them serially.  A set ``cancel`` event stops new
-        chunk submissions; chunks already in flight run to completion and
-        are recorded normally.
-        """
-        chunk = self.chunk_size or max(1, -(-len(items) // (4 * self.workers)))
-        chunks = [items[i : i + chunk] for i in range(0, len(items), chunk)]
-        results: List[TrialResult] = []
-        outstanding = set(range(len(chunks)))
-        attempts: Dict[int, int] = {}
-        pending: Dict[Future, int] = {}
-        deadlines: Dict[Future, float] = {}
-        backlog = deque(range(len(chunks)))
-
-        try:
-            pool = ProcessPoolExecutor(max_workers=self.workers)
-        except Exception as exc:  # no POSIX semaphores, fork failure, ...
-            return results, items, f"{type(exc).__name__}: {exc}"
-
-        def submit(ci: int, charge: bool = True) -> None:
-            if charge:
-                attempts[ci] = attempts.get(ci, 0) + 1
-            future = pool.submit(
-                _execute_chunk, trial_fn, chunks[ci], kwargs, time.time(), attempts[ci]
-            )
-            pending[future] = ci
-            if trial_timeout is not None:
-                deadlines[future] = (
-                    time.monotonic() + trial_timeout * len(chunks[ci])
-                )
-
-        def pump() -> None:
-            # At most `workers` chunks are in flight at once, so a
-            # submitted chunk starts executing immediately and its
-            # timeout deadline (armed at submit) measures execution, not
-            # time spent queued behind other chunks — queued chunks wait
-            # here in the backlog with no deadline running.
-            if cancel is not None and cancel.is_set():
-                backlog.clear()
-                return
-            while backlog and len(pending) < self.workers:
-                submit(backlog.popleft())
-
-        def rebuild() -> None:
-            nonlocal pool
-            _stop_pool(pool)
-            pending.clear()
-            deadlines.clear()
-            pool = ProcessPoolExecutor(max_workers=self.workers)
-
-        def finish_chunk(ci: int, chunk_results: List[TrialResult]) -> None:
-            outstanding.discard(ci)
-            for result in chunk_results:
-                emit(result)
-            results.extend(chunk_results)
-
-        def backoff(ci: int) -> None:
-            delay = retry.delay(attempts[ci], chunks[ci][0][1])
-            if delay > 0:
-                time.sleep(delay)
-
-        fallback: Optional[str] = None
-        while (pending or backlog) and fallback is None:
-            pump()
-            timeout = None
-            if deadlines:
-                timeout = max(0.0, min(deadlines.values()) - time.monotonic())
-            done, _ = wait(set(pending), timeout=timeout, return_when=FIRST_COMPLETED)
-            if not done:
-                now = time.monotonic()
-                overdue = {
-                    pending[f] for f, d in deadlines.items() if d <= now
-                }
-                if not overdue:
-                    continue
-                # A worker hung past its deadline.  Everything in flight
-                # dies with the pool; innocents are resubmitted without
-                # being charged an attempt.
-                victims = sorted(set(pending.values()))
-                rebuild()
-                for vi in victims:
-                    if vi not in overdue:
-                        submit(vi, charge=False)
-                    elif attempts[vi] >= retry.max_attempts:
-                        finish_chunk(
-                            vi,
-                            _failed_results(
-                                chunks[vi],
-                                attempts[vi],
-                                category="timeout",
-                                exc_type="TimeoutError",
-                                message=(
-                                    f"trial exceeded trial_timeout="
-                                    f"{trial_timeout}s on every one of "
-                                    f"{attempts[vi]} attempt(s); worker killed"
-                                ),
-                                seconds=float(trial_timeout),
-                            ),
-                        )
-                    else:
-                        warnings.warn(
-                            f"worker hung past {trial_timeout}s on trials "
-                            f"{[i for i, _ in chunks[vi]]}; pool rebuilt, "
-                            f"retrying (attempt {attempts[vi] + 1})",
-                            RuntimeWarning,
-                        )
-                        backoff(vi)
-                        submit(vi)
-                continue
-            for future in done:
-                ci = pending.pop(future, None)
-                if ci is None:
-                    continue  # belonged to a pool torn down this round
-                deadlines.pop(future, None)
-                try:
-                    chunk_results = future.result()
-                except BrokenProcessPool:
-                    # A worker died (SIGKILL, OOM, segfault) and the pool
-                    # is unusable.  Chunks whose futures already hold a
-                    # successful result are harvested first — only the
-                    # chunks genuinely lost with the pool are charged an
-                    # attempt and resubmitted.
-                    victims = {ci}
-                    for other, oi in list(pending.items()):
-                        harvest = None
-                        if other.done():
-                            try:
-                                harvest = other.result()
-                            except Exception:
-                                harvest = None
-                        if harvest is None:
-                            victims.add(oi)
-                        else:
-                            pending.pop(other)
-                            deadlines.pop(other, None)
-                            finish_chunk(oi, harvest)
-                    victims = sorted(victims)
-                    rebuild()
-                    for vi in victims:
-                        if attempts[vi] >= retry.max_attempts:
-                            finish_chunk(
-                                vi,
-                                _failed_results(
-                                    chunks[vi],
-                                    attempts[vi],
-                                    category="infra",
-                                    exc_type="BrokenProcessPool",
-                                    message=(
-                                        "worker process died; retry budget "
-                                        f"exhausted after {attempts[vi]} "
-                                        "attempt(s)"
-                                    ),
-                                ),
-                            )
-                        else:
-                            warnings.warn(
-                                "worker process died; pool rebuilt, retrying "
-                                f"trials {[i for i, _ in chunks[vi]]} "
-                                f"(attempt {attempts[vi] + 1})",
-                                RuntimeWarning,
-                            )
-                            backoff(vi)
-                            submit(vi)
-                    break  # remaining futures in `done` died with the pool
-                except Exception as exc:
-                    # Deterministic plumbing failure (the function, kwargs
-                    # or result can't cross the process boundary): retrying
-                    # cannot help, finish in-process instead.
-                    fallback = f"{type(exc).__name__}: {exc}"
-                    break
-                else:
-                    finish_chunk(ci, chunk_results)
-
-        if fallback is not None:
-            _stop_pool(pool)
-        else:
-            pool.shutdown()
-        if fallback is None:
-            leftover = []
-        else:
-            leftover = [item for ci in sorted(outstanding) for item in chunks[ci]]
-        return results, leftover, fallback

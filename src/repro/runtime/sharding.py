@@ -11,17 +11,19 @@ deque.  Skewed trial mixes therefore rebalance automatically: a shard
 that drew the slow trials keeps grinding while idle shards drain its
 tail, and a pool rebuild (timeout, dead worker) only stalls one shard.
 
-Every guarantee of the single-pool :class:`~repro.runtime.runner.TrialRunner`
-path is preserved, because trials stay pure functions of
-``(master_seed, index)``:
+Each shard runs the runner's one fault-tolerant pool driver
+(:class:`~repro.runtime.runner._PoolDriver`) — the same driver an
+unsharded pool runs inline over a one-deque scheduler — so every
+guarantee of :class:`~repro.runtime.runner.TrialRunner` holds per shard,
+and trials stay pure functions of ``(master_seed, index)``:
 
 * **Bit-identical replay** — which shard executes a trial is
   unobservable in its result; the caller re-orders by index.
 * **Failure semantics** — deterministic trial errors are captured
   in-worker and never retried; worker death and per-shard-pool timeouts
   are retried under the same :class:`~repro.runtime.runner.RetryPolicy`
-  with seed-derived backoff; pickling failures drain the shard serially
-  in its driver thread.
+  with seed-derived backoff, rebuilding only that shard's pool; a result
+  that cannot be pickled drains the shard serially in its driver thread.
 * **Crash-safe resume** — each shard appends to its own
   ``ledger-shardNN.jsonl`` (:meth:`repro.telemetry.ledger.RunLedger.shard`),
   so shards never contend on one file and a SIGKILL mid-run leaves every
@@ -33,31 +35,20 @@ path is preserved, because trials stay pure functions of
 from __future__ import annotations
 
 import threading
-import time
-import warnings
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
-
-import numpy as np
 
 from repro.runtime.runner import (
     RetryPolicy,
     TrialFn,
+    TrialItem,
     TrialResult,
-    _execute_chunk,
-    _execute_trial,
-    _failed_results,
-    _stop_pool,
+    _PoolDriver,
     trial_record,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.telemetry.ledger import RunLedger
-
-#: One schedulable unit: ``(trial index, its SeedSequence)``.
-TrialItem = Tuple[int, "np.random.SeedSequence"]
 
 
 def partition_items(items: List[TrialItem], shards: int) -> List[List[TrialItem]]:
@@ -135,257 +126,6 @@ class WorkStealingScheduler:
             return sum(len(d) for d in self._deques)
 
 
-class _ShardDriver:
-    """One shard: a process pool fed from the scheduler by a parent thread.
-
-    The driver mirrors the single-pool fault machinery of
-    :meth:`TrialRunner._run_pool` — at most ``workers`` chunks in flight
-    (deadlines measure execution, not queue wait), kill-then-shutdown
-    pool rebuild on hangs, completed-future harvest before a
-    broken-pool rebuild, retry with seed-derived backoff, serial
-    fallback on pickling failures — but acquires its chunks dynamically
-    from the :class:`WorkStealingScheduler` instead of a precomputed
-    list, which is what makes stealing possible mid-run.
-    """
-
-    def __init__(
-        self,
-        shard_id: int,
-        scheduler: WorkStealingScheduler,
-        trial_fn: TrialFn,
-        kwargs: Dict[str, Any],
-        workers: int,
-        chunk: int,
-        retry: RetryPolicy,
-        trial_timeout: Optional[float],
-        emit: Callable[[TrialResult], None],
-        cancel: Optional[threading.Event] = None,
-    ) -> None:
-        self.shard_id = shard_id
-        self.scheduler = scheduler
-        self.trial_fn = trial_fn
-        self.kwargs = kwargs
-        self.workers = workers
-        self.chunk = chunk
-        self.retry = retry
-        self.trial_timeout = trial_timeout
-        self.emit = emit
-        self.cancel = cancel
-        self.results: List[TrialResult] = []
-        self.fallback: Optional[str] = None
-        self.error: Optional[BaseException] = None
-
-    def _cancelled(self) -> bool:
-        """Whether the run's cooperative stop event has been set."""
-        return self.cancel is not None and self.cancel.is_set()
-
-    # -- bookkeeping ----------------------------------------------------
-    def _finish(self, chunk_results: List[TrialResult]) -> None:
-        for result in chunk_results:
-            self.emit(result)
-        self.results.extend(chunk_results)
-
-    def _run_items_serially(self, items: List[TrialItem]) -> None:
-        for index, seed in items:
-            self._finish([_execute_trial(self.trial_fn, index, seed, self.kwargs)])
-
-    def _drain_serially(self, leftovers: List[List[TrialItem]]) -> None:
-        """Finish every leftover and still-queued chunk in this thread.
-
-        The serial fallback still participates in stealing: after its
-        own leftovers it keeps acquiring from the scheduler, so a shard
-        that lost its pool degrades to one in-thread worker instead of
-        stranding queued trials.
-        """
-        for items in leftovers:
-            self._run_items_serially(items)
-        while not self._cancelled():
-            items = self.scheduler.acquire(self.shard_id, self.chunk)
-            if not items:
-                return
-            self._run_items_serially(items)
-
-    # -- the drive loop -------------------------------------------------
-    def drive(self) -> None:
-        """Run this shard to completion (thread entry point)."""
-        try:
-            self._drive()
-        except BaseException as exc:  # pragma: no cover - defensive
-            self.error = exc
-
-    def _drive(self) -> None:
-        try:
-            pool = ProcessPoolExecutor(max_workers=self.workers)
-        except Exception as exc:  # no POSIX semaphores, fork failure, ...
-            self.fallback = f"{type(exc).__name__}: {exc}"
-            self._drain_serially([])
-            return
-
-        pending: Dict[Future, List[TrialItem]] = {}
-        deadlines: Dict[Future, float] = {}
-        attempts: Dict[int, int] = {}  # keyed by the chunk's first index
-
-        def submit(items: List[TrialItem], charge: bool = True) -> None:
-            ckey = items[0][0]
-            if charge:
-                attempts[ckey] = attempts.get(ckey, 0) + 1
-            future = pool.submit(
-                _execute_chunk,
-                self.trial_fn,
-                items,
-                self.kwargs,
-                time.time(),
-                attempts[ckey],
-            )
-            pending[future] = items
-            if self.trial_timeout is not None:
-                deadlines[future] = (
-                    time.monotonic() + self.trial_timeout * len(items)
-                )
-
-        def pump() -> None:
-            # Same in-flight cap as the single-pool path: deadlines armed
-            # at submit measure execution because nothing queues behind
-            # other chunks inside the pool.  A set cancel event stops the
-            # shard acquiring; in-flight chunks drain to completion.
-            while not self._cancelled() and len(pending) < self.workers:
-                items = self.scheduler.acquire(self.shard_id, self.chunk)
-                if not items:
-                    return
-                submit(items)
-
-        def rebuild() -> None:
-            nonlocal pool
-            _stop_pool(pool)
-            pending.clear()
-            deadlines.clear()
-            pool = ProcessPoolExecutor(max_workers=self.workers)
-
-        def backoff(items: List[TrialItem]) -> None:
-            delay = self.retry.delay(attempts[items[0][0]], items[0][1])
-            if delay > 0:
-                time.sleep(delay)
-
-        while True:
-            pump()
-            if not pending:
-                break  # scheduler dry and nothing in flight
-            timeout = None
-            if deadlines:
-                timeout = max(0.0, min(deadlines.values()) - time.monotonic())
-            done, _ = wait(set(pending), timeout=timeout, return_when=FIRST_COMPLETED)
-            if not done:
-                now = time.monotonic()
-                overdue = [
-                    pending[f] for f, d in deadlines.items() if d <= now
-                ]
-                if not overdue:
-                    continue
-                # A worker hung past its deadline: this shard's pool dies
-                # and is rebuilt; other shards are untouched.  In-flight
-                # innocents resubmit without being charged an attempt.
-                overdue_keys = {items[0][0] for items in overdue}
-                victims = sorted(pending.values(), key=lambda c: c[0][0])
-                rebuild()
-                for items in victims:
-                    ckey = items[0][0]
-                    if ckey not in overdue_keys:
-                        submit(items, charge=False)
-                    elif attempts[ckey] >= self.retry.max_attempts:
-                        self._finish(
-                            _failed_results(
-                                items,
-                                attempts[ckey],
-                                category="timeout",
-                                exc_type="TimeoutError",
-                                message=(
-                                    f"trial exceeded trial_timeout="
-                                    f"{self.trial_timeout}s on every one of "
-                                    f"{attempts[ckey]} attempt(s); shard "
-                                    f"{self.shard_id} worker killed"
-                                ),
-                                seconds=float(self.trial_timeout),
-                            )
-                        )
-                    else:
-                        warnings.warn(
-                            f"shard {self.shard_id}: worker hung past "
-                            f"{self.trial_timeout}s on trials "
-                            f"{[i for i, _ in items]}; pool rebuilt, "
-                            f"retrying (attempt {attempts[ckey] + 1})",
-                            RuntimeWarning,
-                        )
-                        backoff(items)
-                        submit(items)
-                continue
-            for future in done:
-                items = pending.pop(future, None)
-                if items is None:
-                    continue  # belonged to a pool torn down this round
-                deadlines.pop(future, None)
-                try:
-                    chunk_results = future.result()
-                except BrokenProcessPool:
-                    # This shard's pool died.  Harvest futures that hold
-                    # completed results, rebuild, retry the rest.
-                    victims = [items]
-                    for other, oitems in list(pending.items()):
-                        harvest = None
-                        if other.done():
-                            try:
-                                harvest = other.result()
-                            except Exception:
-                                harvest = None
-                        if harvest is None:
-                            victims.append(oitems)
-                        else:
-                            pending.pop(other)
-                            deadlines.pop(other, None)
-                            self._finish(harvest)
-                    victims.sort(key=lambda c: c[0][0])
-                    rebuild()
-                    for vitems in victims:
-                        ckey = vitems[0][0]
-                        if attempts[ckey] >= self.retry.max_attempts:
-                            self._finish(
-                                _failed_results(
-                                    vitems,
-                                    attempts[ckey],
-                                    category="infra",
-                                    exc_type="BrokenProcessPool",
-                                    message=(
-                                        f"shard {self.shard_id} worker died; "
-                                        "retry budget exhausted after "
-                                        f"{attempts[ckey]} attempt(s)"
-                                    ),
-                                )
-                            )
-                        else:
-                            warnings.warn(
-                                f"shard {self.shard_id}: worker died; pool "
-                                f"rebuilt, retrying trials "
-                                f"{[i for i, _ in vitems]} "
-                                f"(attempt {attempts[ckey] + 1})",
-                                RuntimeWarning,
-                            )
-                            backoff(vitems)
-                            submit(vitems)
-                    break  # remaining `done` futures died with the pool
-                except Exception as exc:
-                    # Deterministic plumbing failure — drain serially.
-                    self.fallback = f"{type(exc).__name__}: {exc}"
-                    leftovers = list(pending.values())
-                    leftovers.append(items)
-                    leftovers.sort(key=lambda c: c[0][0])
-                    _stop_pool(pool)
-                    self._drain_serially(leftovers)
-                    return
-                else:
-                    self._finish(chunk_results)
-
-        pool.shutdown()
-
-
 def default_shard_chunk(remaining: int, shards: int, workers: int) -> int:
     """The default per-acquisition chunk for a sharded run.
 
@@ -444,9 +184,10 @@ def run_sharded(
         return emit
 
     drivers = [
-        _ShardDriver(
-            shard_id=s,
+        _PoolDriver(
             scheduler=scheduler,
+            shard_id=s,
+            label=f"shard {s} worker",
             trial_fn=trial_fn,
             kwargs=kwargs,
             workers=workers,
@@ -458,19 +199,24 @@ def run_sharded(
         )
         for s in range(shards)
     ]
+    errors: List[BaseException] = []
+
+    def drive(driver: _PoolDriver) -> None:
+        try:
+            driver.run()
+        except BaseException as exc:  # pragma: no cover - defensive
+            errors.append(exc)
+
     threads = [
-        threading.Thread(
-            target=driver.drive, name=f"repro-shard-{driver.shard_id}"
-        )
-        for driver in drivers
+        threading.Thread(target=drive, args=(driver,), name=f"repro-shard-{s}")
+        for s, driver in enumerate(drivers)
     ]
     for thread in threads:
         thread.start()
     for thread in threads:
         thread.join()
-    for driver in drivers:
-        if driver.error is not None:
-            raise driver.error
+    if errors:
+        raise errors[0]
     results = [result for driver in drivers for result in driver.results]
     fallbacks = [driver.fallback for driver in drivers]
     return results, scheduler, fallbacks

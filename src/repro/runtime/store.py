@@ -36,10 +36,6 @@ Store layout and guarantees
   ``artifact_store.*`` (plus the legacy ``crp_cache.*`` /
   ``fleet_cache.*`` names), so per-trial ledger records carry the
   store's behaviour and ``repro trials --cache-stats`` can aggregate it.
-
-:class:`repro.runtime.cache.CRPCache` remains as a deprecated
-compatibility shim over this class (legacy digest schema, same on-disk
-naming); new code should construct :class:`ArtifactStore` directly.
 """
 
 from __future__ import annotations
@@ -184,11 +180,6 @@ class ArtifactStore:
     # ------------------------------------------------------------------
     # Directory layout.
     # ------------------------------------------------------------------
-    @property
-    def cache_dir(self) -> Path:
-        """Alias for :attr:`store_dir` (the pre-ArtifactStore name)."""
-        return self.store_dir
-
     def entry_path(self, kind: str, key: str) -> Path:
         """The ``.npz`` file backing entry ``key`` of ``kind``."""
         return self.store_dir / f"{kind}-{key}.npz"
@@ -317,14 +308,6 @@ class ArtifactStore:
     # ------------------------------------------------------------------
     # CRP-set entries.
     # ------------------------------------------------------------------
-    def _crp_key(
-        self, puf_spec: str, seed: object, distribution: str, noisy: bool
-    ) -> str:
-        """Digest for a CRP-set artifact (CRP sets are always int8)."""
-        return artifact_digest(
-            "crps", puf_spec, seed, distribution=distribution, noisy=noisy
-        )
-
     def load(self, key: str) -> Optional[CRPSet]:
         """The cached CRP set for ``key``, or None.
 
@@ -379,7 +362,10 @@ class ArtifactStore:
         """
         if m <= 0:
             raise ValueError("CRP count must be positive")
-        key = self._crp_key(puf_spec, seed, distribution, noisy)
+        # CRP sets are always int8, so the default tier is their key.
+        key = artifact_digest(
+            "crps", puf_spec, seed, distribution=distribution, noisy=noisy
+        )
         cached = self.load(key)
         if cached is not None and len(cached) >= m:
             self.hits += 1
@@ -413,33 +399,11 @@ class ArtifactStore:
 
     # ------------------------------------------------------------------
     # Fleet response planes: (m, n) challenges against an (m, N) response
-    # matrix; the dtype tier and the fleet shape are digest material.
+    # matrix.  The dtype tier and the fleet shape are digest material, so
+    # an int8-tier run can never be served a float64-tier entry and a
+    # resized fleet can never alias a stale plane, even when the caller's
+    # spec string omits either.
     # ------------------------------------------------------------------
-    def _fleet_key(
-        self,
-        fleet_spec: str,
-        seed: object,
-        distribution: str,
-        tier: str,
-        shape: Sequence[int],
-        noisy: bool,
-    ) -> str:
-        """Digest for a fleet-plane artifact (tier + shape are key material).
-
-        An int8-tier run can therefore never be served a float64-tier
-        entry, and a resized fleet can never alias a stale plane, even
-        when the caller's spec string omits either.
-        """
-        return artifact_digest(
-            "fleet",
-            fleet_spec,
-            seed,
-            distribution=distribution,
-            tier=tier,
-            shape=shape,
-            noisy=noisy,
-        )
-
     def load_fleet(self, key: str) -> Optional[Tuple[np.ndarray, np.ndarray]]:
         """The cached (challenges, responses) plane for ``key``, or None.
 
@@ -503,7 +467,10 @@ class ArtifactStore:
         """
         if m <= 0:
             raise ValueError("challenge count must be positive")
-        key = self._fleet_key(fleet_spec, seed, distribution, tier, shape, noisy)
+        key = artifact_digest(
+            "fleet", fleet_spec, seed, distribution=distribution, tier=tier,
+            shape=shape, noisy=noisy,
+        )
         cached = self.load_fleet(key)
         if cached is not None and cached[0].shape[0] >= m:
             self.hits += 1

@@ -22,7 +22,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
 import secrets
 import time
 from pathlib import Path
@@ -30,6 +29,7 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.analysis import atlas as _atlas
 from repro.runtime import workloads as _workloads
+from repro.telemetry.ledger import write_atomic
 
 #: Workload name -> (trial function, spec dataclass).  The service-facing
 #: twin of the CLI's ``_resolve_workload``: every CLI workload is a
@@ -222,22 +222,10 @@ class JobStore:
         """Persist ``job.json`` atomically inside the job's directory."""
         job_dir = self.job_dir(job.job_id)
         job_dir.mkdir(parents=True, exist_ok=True)
-        payload = json.dumps(job.as_dict(), sort_keys=True, indent=2)
-        fd, tmp = None, None
-        try:
-            import tempfile
-
-            fd, tmp = tempfile.mkstemp(prefix="job-", suffix=".tmp", dir=job_dir)
-            os.write(fd, (payload + "\n").encode("utf-8"))
-            os.close(fd)
-            fd = None
-            os.replace(tmp, job_dir / "job.json")
-            tmp = None
-        finally:
-            if fd is not None:
-                os.close(fd)
-            if tmp is not None and os.path.exists(tmp):
-                os.unlink(tmp)
+        write_atomic(
+            job_dir / "job.json",
+            json.dumps(job.as_dict(), sort_keys=True, indent=2) + "\n",
+        )
 
     def load(self, job_id: str) -> Optional[Job]:
         """The persisted job record, or None when absent/unreadable."""

@@ -24,10 +24,10 @@ in-memory only and are reconstructed by job adoption.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from pathlib import Path
 from typing import Dict, Optional
+
+from repro.telemetry.ledger import write_atomic
 
 QUOTAS_NAME = "quotas.json"
 
@@ -149,12 +149,6 @@ class QuotaLedger:
     # ------------------------------------------------------------------
     def _persist(self) -> None:
         """Atomically rewrite ``quotas.json`` with current settled usage."""
-        payload = json.dumps({"usage": self._usage}, sort_keys=True, indent=2)
-        fd, tmp = tempfile.mkstemp(
-            prefix="quotas-", suffix=".tmp", dir=self.data_dir
+        write_atomic(
+            self.path, json.dumps({"usage": self._usage}, sort_keys=True, indent=2) + "\n"
         )
-        try:
-            os.write(fd, (payload + "\n").encode("utf-8"))
-        finally:
-            os.close(fd)
-        os.replace(tmp, self.path)

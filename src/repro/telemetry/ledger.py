@@ -24,6 +24,8 @@ write so readers need nothing but the standard library.
 from __future__ import annotations
 
 import json
+import os
+import tempfile
 import time
 import warnings
 from pathlib import Path
@@ -101,6 +103,27 @@ def _json_default(obj: object) -> object:
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     raise TypeError(f"not JSON-serialisable: {type(obj).__name__}")
+
+
+def write_atomic(path: Union[str, Path], text: str) -> None:
+    """Replace ``path`` with ``text``; a reader sees the old or the new file.
+
+    The text is staged in a ``mkstemp`` file beside ``path`` (named
+    ``<stem>-*.tmp``) and published with ``os.replace``.  A failed write
+    or publish removes the staging file and leaves ``path`` as it was.
+    There is deliberately no fsync: this guards against a killed
+    process, not against power loss, and costs no more than a plain
+    write.
+    """
+    path = Path(path)
+    fd, tmp = tempfile.mkstemp(prefix=f"{path.stem}-", suffix=".tmp", dir=path.parent)
+    try:
+        with open(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def new_run_id(prefix: str = "run") -> str:
@@ -181,9 +204,14 @@ class RunLedger:
                 )
 
     def write_meta(self, meta: Dict[str, object]) -> None:
-        """Write (replace) the run's ``meta.json``."""
-        self.meta_path.write_text(
-            json.dumps(meta, default=_json_default, sort_keys=True, indent=2) + "\n"
+        """Replace the run's ``meta.json`` atomically (see :func:`write_atomic`).
+
+        A kill mid-rewrite leaves the previous meta intact, so the run
+        stays resumable.
+        """
+        write_atomic(
+            self.meta_path,
+            json.dumps(meta, default=_json_default, sort_keys=True, indent=2) + "\n",
         )
 
     # ------------------------------------------------------------------

@@ -75,6 +75,20 @@ def test_unpicklable_fn_falls_back_to_serial_with_warning():
     assert report.values() == reference.values()
 
 
+def test_unpicklable_fn_never_opens_a_sharded_pool():
+    """Pickling is checked once before any pool opens, so a sharded run of a
+    lambda goes serial as a whole instead of each shard failing mid-run."""
+    with pytest.warns(RuntimeWarning, match="falling back to serial"):
+        report = TrialRunner(workers=1, shards=2).run(
+            lambda ctx: float(ctx.rng.random()), 4, master_seed=6
+        )
+    assert report.executor == "serial"
+    reference = TrialRunner(workers=1).run(
+        lambda ctx: float(ctx.rng.random()), 4, master_seed=6
+    )
+    assert report.values() == reference.values()
+
+
 def test_trial_kwargs_are_passed(tmp_path):
     report = TrialRunner(workers=1).run(
         draw_trial, 2, master_seed=0, trial_kwargs={"size": 3}

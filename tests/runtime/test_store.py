@@ -11,13 +11,13 @@ with exactly one complete archive surviving (winner-take-one).
 
 import multiprocessing
 import os
-import warnings
+import threading
 
 import numpy as np
 import pytest
 
 from repro.pufs.arbiter import ArbiterPUF
-from repro.pufs.crp import generate_crps
+from repro.pufs.crp import CRPSet, generate_crps
 from repro.runtime import TrialRunner
 from repro.runtime.store import (
     ARTIFACT_KINDS,
@@ -318,16 +318,143 @@ class TestSameKeyRace:
         np.testing.assert_array_equal(cached.challenges, reference.challenges)
         np.testing.assert_array_equal(cached.responses, reference.responses)
 
+    def test_concurrent_threads_leave_one_complete_archive(self, tmp_path):
+        """Threads of one process each stage in a private mkstemp file, so
+        racing writers of one key with *different* payloads still leave
+        one whole entry and no staging files."""
+        store = ArtifactStore(tmp_path)
+        key = artifact_digest("crps", "thread-race", 0)
+        threads = [
+            threading.Thread(target=store.store, args=(key, make_crps(seed=s, m=30)))
+            for s in range(4)
+            for _ in range(3)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        loaded = store.load(key)
+        assert loaded is not None and len(loaded) == 30
+        assert not list(tmp_path.glob("*.tmp.npz"))
 
-def test_direct_crpcache_construction_is_deprecated(tmp_path):
-    from repro.runtime.cache import CRPCache
 
-    with pytest.warns(DeprecationWarning, match="ArtifactStore"):
-        cache = CRPCache(tmp_path)
-    assert isinstance(cache, ArtifactStore)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        ArtifactStore(tmp_path)  # the replacement constructs silently
+# ----------------------------------------------------------------------
+# Misses, regeneration and corrupt entries.
+# ----------------------------------------------------------------------
+class TestMissPaths:
+    def test_larger_request_regenerates_and_keeps_int8(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        store.get_or_generate(
+            puf_spec="a", seed=3, distribution="uniform", m=50,
+            generate=lambda: make_crps(m=50),
+        )
+        bigger = store.get_or_generate(
+            puf_spec="a", seed=3, distribution="uniform", m=80,
+            generate=lambda: make_crps(m=80),
+        )
+        assert len(bigger) == 80 and store.misses == 2
+        reloaded = store.get_or_generate(
+            puf_spec="a", seed=3, distribution="uniform", m=80,
+            generate=lambda: pytest.fail("must hit"),
+        )
+        assert reloaded.challenges.dtype == np.int8
+        assert reloaded.responses.dtype == np.int8
+
+    def test_short_generator_output_rejected(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        with pytest.raises(ValueError, match="fewer than requested"):
+            store.get_or_generate(
+                puf_spec="a", seed=4, distribution="uniform", m=100,
+                generate=lambda: make_crps(m=10),
+            )
+        with pytest.raises(ValueError, match="fewer than requested"):
+            store.get_or_generate_fleet(
+                "s", 9, "uniform", "int8", (8, 3), 100, lambda: make_plane(m=40)
+            )
+
+    def test_corrupt_crp_entry_is_a_miss_and_regenerates(self, tmp_path):
+        """A truncated .npz (killed writer, bad disk) must not poison every
+        later read: warn, unlink, regenerate, publish a readable entry."""
+        store = ArtifactStore(tmp_path)
+        args = dict(puf_spec="a", seed=7, distribution="uniform", m=20)
+        store.get_or_generate(**args, generate=lambda: make_crps(m=20))
+        (entry,) = store.entries()
+        entry.write_bytes(b"this is not an npz archive")
+        with pytest.warns(RuntimeWarning, match="unreadable CRP cache entry"):
+            crps = store.get_or_generate(**args, generate=lambda: make_crps(m=20))
+        assert len(crps) == 20 and store.corrupt == 1
+        assert store.get_or_generate(
+            **args, generate=lambda: pytest.fail("must hit")
+        ) is not None
+
+    def test_malformed_fleet_entry_is_discarded(self, tmp_path):
+        """A structurally wrong archive (mismatched row counts) degrades to
+        a miss too, not just an unreadable one."""
+        store = ArtifactStore(tmp_path)
+        path = store.fleet_path_for("deadbeef")
+        np.savez_compressed(
+            path,
+            challenges=np.ones((5, 10), dtype=np.int8),
+            responses=np.ones((7, 6), dtype=np.int8),
+        )
+        with pytest.warns(RuntimeWarning, match="unreadable fleet cache entry"):
+            assert store.load_fleet("deadbeef") is None
+        assert not path.exists()
+
+    def test_fleet_hit_serves_a_metered_row_prefix(self, tmp_path):
+        from repro.telemetry.meter import QueryMeter, metered
+
+        store = ArtifactStore(tmp_path)
+        challenges, responses = make_plane(m=50, size=6)
+        args = dict(
+            fleet_spec="s", seed=3, distribution="uniform", tier="int8",
+            shape=(8, 6),
+        )
+        store.get_or_generate_fleet(
+            **args, m=50, generate=lambda: (challenges, responses)
+        )
+        meter = QueryMeter()
+        with metered(meter):
+            got_c, got_r = store.get_or_generate_fleet(
+                **args, m=20, generate=lambda: pytest.fail("prefix must hit")
+            )
+        assert store.hits == 1
+        np.testing.assert_array_equal(got_c, challenges[:20])
+        np.testing.assert_array_equal(got_r, responses[:20])
+        assert got_c.dtype == np.int8 and got_r.dtype == np.int8
+        assert meter.total_queries == 20 * 6  # replayed answers, per instance
+
+
+# ----------------------------------------------------------------------
+# Staging files: never left behind, swept by clear().
+# ----------------------------------------------------------------------
+class TestStagingFiles:
+    def test_failed_store_cleans_its_staging_file(self, tmp_path, monkeypatch):
+        store = ArtifactStore(tmp_path)
+        crps = make_crps(m=10)
+
+        def boom(self, path):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(CRPSet, "save", boom)
+        with pytest.raises(OSError, match="disk full"):
+            store.store("deadbeef", crps)
+        assert list(tmp_path.glob("*.tmp.npz")) == []
+        assert not store.path_for("deadbeef").exists()
+
+    def test_clear_sweeps_every_kind_and_orphaned_staging_files(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        store.get_or_generate(
+            puf_spec="a", seed=9, distribution="uniform", m=10,
+            generate=lambda: make_crps(m=10),
+        )
+        store.get_or_generate_fleet(
+            "s", 1, "uniform", "int8", (8, 3), 40, lambda: make_plane()
+        )
+        orphan = tmp_path / "crps-deadbeef-x1y2z3.tmp.npz"
+        orphan.write_bytes(b"partial write from a killed process")
+        assert store.clear() == 3
+        assert list(tmp_path.glob("*.npz")) == []
 
 
 # ----------------------------------------------------------------------

@@ -21,6 +21,65 @@ def test_round_trip_records_and_meta(tmp_path):
     assert [r["index"] for r in records] == [0, 1, 2]
 
 
+class TestAtomicRewrites:
+    """``meta.json``, ``job.json`` and ``quotas.json`` publish atomically: a
+    rewrite that dies midway leaves the previous file whole and no
+    staging file behind."""
+
+    @staticmethod
+    def writers(tmp_path):
+        from repro.service.jobs import Job, JobSpec, JobStore
+        from repro.service.quotas import QuotaLedger
+
+        ledger = RunLedger(tmp_path / "run")
+        jobs = JobStore(tmp_path / "service")
+        job = Job(job_id="job-x", spec=JobSpec(workload="fleet"))
+        quotas = QuotaLedger(tmp_path / "service", default_limit=None)
+
+        def save_job(version):
+            job.completed_trials = version
+            jobs.save(job)
+
+        return {
+            "meta": (
+                lambda v: ledger.write_meta({"version": v}),
+                lambda: ledger.read_meta()["version"],
+            ),
+            "job": (save_job, lambda: jobs.load("job-x").completed_trials),
+            "quotas": (
+                lambda v: quotas.settle(f"job-{v}", "alice", 1),
+                lambda: json.loads(quotas.path.read_text())["usage"]["alice"],
+            ),
+        }
+
+    @pytest.mark.parametrize("name", ["meta", "job", "quotas"])
+    def test_failed_publish_keeps_the_previous_file(self, tmp_path, monkeypatch, name):
+        import os
+
+        write, read = self.writers(tmp_path)[name]
+        write(1)
+
+        def refuse(src, dst):
+            raise OSError("killed before the rename")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="killed before the rename"):
+            write(2)
+        monkeypatch.undo()
+        assert read() == 1
+        assert list(tmp_path.rglob("*.tmp")) == []
+
+    def test_failed_write_keeps_the_previous_file(self, tmp_path):
+        from repro.telemetry.ledger import write_atomic
+
+        target = tmp_path / "meta.json"
+        write_atomic(target, '{"version": 1}\n')
+        with pytest.raises(UnicodeEncodeError):
+            write_atomic(target, '{"version": 2, "torn": "\udc80"}\n')
+        assert json.loads(target.read_text()) == {"version": 1}
+        assert list(tmp_path.glob("*.tmp")) == []
+
+
 def test_numpy_values_serialised(tmp_path):
     ledger = RunLedger(tmp_path / "run-np")
     ledger.append(
