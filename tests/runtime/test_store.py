@@ -339,39 +339,9 @@ class TestSameKeyRace:
 
 
 # ----------------------------------------------------------------------
-# Misses, regeneration and corrupt entries.
+# Corrupt and malformed entries.
 # ----------------------------------------------------------------------
 class TestMissPaths:
-    def test_larger_request_regenerates_and_keeps_int8(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        store.get_or_generate(
-            puf_spec="a", seed=3, distribution="uniform", m=50,
-            generate=lambda: make_crps(m=50),
-        )
-        bigger = store.get_or_generate(
-            puf_spec="a", seed=3, distribution="uniform", m=80,
-            generate=lambda: make_crps(m=80),
-        )
-        assert len(bigger) == 80 and store.misses == 2
-        reloaded = store.get_or_generate(
-            puf_spec="a", seed=3, distribution="uniform", m=80,
-            generate=lambda: pytest.fail("must hit"),
-        )
-        assert reloaded.challenges.dtype == np.int8
-        assert reloaded.responses.dtype == np.int8
-
-    def test_short_generator_output_rejected(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        with pytest.raises(ValueError, match="fewer than requested"):
-            store.get_or_generate(
-                puf_spec="a", seed=4, distribution="uniform", m=100,
-                generate=lambda: make_crps(m=10),
-            )
-        with pytest.raises(ValueError, match="fewer than requested"):
-            store.get_or_generate_fleet(
-                "s", 9, "uniform", "int8", (8, 3), 100, lambda: make_plane(m=40)
-            )
-
     def test_corrupt_crp_entry_is_a_miss_and_regenerates(self, tmp_path):
         """A truncated .npz (killed writer, bad disk) must not poison every
         later read: warn, unlink, regenerate, publish a readable entry."""
@@ -401,32 +371,9 @@ class TestMissPaths:
             assert store.load_fleet("deadbeef") is None
         assert not path.exists()
 
-    def test_fleet_hit_serves_a_metered_row_prefix(self, tmp_path):
-        from repro.telemetry.meter import QueryMeter, metered
-
-        store = ArtifactStore(tmp_path)
-        challenges, responses = make_plane(m=50, size=6)
-        args = dict(
-            fleet_spec="s", seed=3, distribution="uniform", tier="int8",
-            shape=(8, 6),
-        )
-        store.get_or_generate_fleet(
-            **args, m=50, generate=lambda: (challenges, responses)
-        )
-        meter = QueryMeter()
-        with metered(meter):
-            got_c, got_r = store.get_or_generate_fleet(
-                **args, m=20, generate=lambda: pytest.fail("prefix must hit")
-            )
-        assert store.hits == 1
-        np.testing.assert_array_equal(got_c, challenges[:20])
-        np.testing.assert_array_equal(got_r, responses[:20])
-        assert got_c.dtype == np.int8 and got_r.dtype == np.int8
-        assert meter.total_queries == 20 * 6  # replayed answers, per instance
-
 
 # ----------------------------------------------------------------------
-# Staging files: never left behind, swept by clear().
+# Staging files: never left behind by a failed publish.
 # ----------------------------------------------------------------------
 class TestStagingFiles:
     def test_failed_store_cleans_its_staging_file(self, tmp_path, monkeypatch):
@@ -441,20 +388,6 @@ class TestStagingFiles:
             store.store("deadbeef", crps)
         assert list(tmp_path.glob("*.tmp.npz")) == []
         assert not store.path_for("deadbeef").exists()
-
-    def test_clear_sweeps_every_kind_and_orphaned_staging_files(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        store.get_or_generate(
-            puf_spec="a", seed=9, distribution="uniform", m=10,
-            generate=lambda: make_crps(m=10),
-        )
-        store.get_or_generate_fleet(
-            "s", 1, "uniform", "int8", (8, 3), 40, lambda: make_plane()
-        )
-        orphan = tmp_path / "crps-deadbeef-x1y2z3.tmp.npz"
-        orphan.write_bytes(b"partial write from a killed process")
-        assert store.clear() == 3
-        assert list(tmp_path.glob("*.npz")) == []
 
 
 # ----------------------------------------------------------------------
