@@ -9,9 +9,10 @@ Subcommands:
 * ``attack-demo`` — a 30-second tour: lock c17, run the SAT attack,
   print the recovered key.
 
-* ``trials`` — the parallel experiment runtime: fan a workload
-  (``curve``/``active``/``lmn``/``km``/``sq``/``fault``/``fleet``/
-  ``skew``) out over worker processes,
+* ``trials`` — the parallel experiment runtime: fan a workload from
+  ``repro.runtime.workloads.WORKLOADS`` (``active``/``atlas``/``chow``/
+  ``curve``/``fault``/``fleet``/``km``/``lmn``/``skew``/``sq``, the same
+  names the service accepts) out over worker processes,
   report per-trial timings, speedup over serial, and the bit-identity
   check; ``--ledger`` additionally writes a query-accounting run
   directory, ``--retries``/``--trial-timeout`` configure the retry
@@ -78,7 +79,10 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -153,109 +157,54 @@ def cmd_attack_demo(args: argparse.Namespace) -> int:
     return 0 if result.success else 1
 
 
-def _resolve_workload(args: argparse.Namespace):
-    """(trial_fn, spec, value column labels) for ``args.workload``.
+def _csv(conv):
+    """An argparse type: comma-separated ``conv`` values as a tuple."""
 
-    ``--n``/``--k``/``--test-size`` default to ``None`` in the parser so
-    each workload keeps its own dataclass defaults unless overridden.
+    def parse(raw: str) -> tuple:
+        return tuple(conv(v.strip()) for v in raw.split(",") if v.strip())
+
+    return parse
+
+
+def _flag_values(spec_cls, args: argparse.Namespace, renames=None) -> dict:
+    """Spec field -> value for every field whose CLI flag was given.
+
+    A field reads the flag of the same name unless ``renames`` maps it
+    to another; flags default to None, so an unset flag leaves the
+    field to the spec's own default.
     """
-    from repro.runtime import workloads as w
+    renames = renames or {}
+    values = {}
+    for field in dataclasses.fields(spec_cls):
+        value = getattr(args, renames.get(field.name, field.name), None)
+        if value is not None:
+            values[field.name] = value
+    return values
 
-    def pick(value, default):
-        return default if value is None else value
+
+#: ``trials`` flags whose name differs from the spec field they set.
+_TRIALS_RENAMES = {"fleet": {"m": "fleet_m"}, "fault": {"fail_indices": "fail_at"}}
+
+#: Spec values only the CLI uses: short fault trials that leave kill
+#: tests a window, and the seconds-fast ``--smoke`` fleet.
+_CLI_SHAPES = {"fault": {"size": 2, "sleep_seconds": 0.2}}
+_SMOKE_SHAPES = {"fleet": {"n": 32, "size": 48, "m": 400, "repetitions": 3}}
+
+
+def _trials_spec(args: argparse.Namespace):
+    """The spec ``trials --workload`` runs: CLI shapes, then given flags."""
+    from repro.runtime.workloads import WORKLOADS, build_workload
 
     name = args.workload
-    if name == "curve":
-        budgets = tuple(int(b) for b in args.budgets.split(","))
-        spec = w.LearningCurveSpec(
-            n=pick(args.n, 48),
-            k=pick(args.k, 1),
-            budgets=budgets,
-            test_size=pick(args.test_size, 2000),
-        )
-        return (
-            w.learning_curve_trial,
-            spec,
-            [f"acc @ {b}" for b in spec.sorted_budgets],
-        )
-    if name == "active":
-        budgets = tuple(int(b) for b in args.budgets.split(","))
-        spec = w.ActiveTrialSpec(
-            n=pick(args.n, 32),
-            k=pick(args.k, 1),
-            strategy=args.strategy,
-            budgets=budgets,
-            batch=args.batch,
-            pool_size=pick(args.pool_size, max(1024, 2 * max(budgets))),
-            committee=args.committee,
-            fast_fraction=args.fast_fraction,
-            test_size=pick(args.test_size, 2000),
-            noise_rate=args.noise_rate,
-        )
-        return (
-            w.active_trial,
-            spec,
-            [f"acc @ {b}" for b in spec.sorted_budgets],
-        )
-    if name == "lmn":
-        spec = w.LMNTrialSpec(
-            n=pick(args.n, 12),
-            k=pick(args.k, 2),
-            degree=args.degree,
-            m=args.m,
-            test_size=pick(args.test_size, 5000),
-        )
-        return w.lmn_trial, spec, ["captured wt", "accuracy"]
-    if name == "km":
-        spec = w.KMTrialSpec(
-            n=pick(args.n, 12),
-            theta=args.theta,
-            bucket_samples=args.bucket_samples,
-            coefficient_samples=args.coefficient_samples,
-            test_size=pick(args.test_size, 2000),
-        )
-        return w.km_trial, spec, ["accuracy", "MQ queries"]
-    if name == "sq":
-        spec = w.SQTrialSpec(
-            n=pick(args.n, 32),
-            tau=args.tau,
-            mode=args.mode,
-            test_size=pick(args.test_size, 2000),
-        )
-        return w.sq_trial, spec, ["accuracy", "SQ queries"]
-    if name == "fleet":
-        smoke = getattr(args, "smoke", False)
-        spec = w.FleetEvalSpec(
-            family=args.family,
-            n=pick(args.n, 32 if smoke else 64),
-            size=pick(args.size, 48 if smoke else 256),
-            k=pick(args.k, 4),
-            noise_sigma=args.noise_sigma,
-            tier=args.tier,
-            m=pick(args.fleet_m, 400 if smoke else 2000),
-            repetitions=3 if smoke else args.repetitions,
-        )
-        return (
-            w.fleet_eval_trial,
-            spec,
-            ["uniqueness", "uniformity", "reliability"],
-        )
-    if name == "skew":
-        spec = w.SkewedSleepSpec(
-            slow_count=args.slow_count,
-            slow_seconds=args.slow_seconds,
-            fast_seconds=args.fast_seconds,
-        )
-        return w.skewed_sleep_trial, spec, [f"draw {i}" for i in range(spec.size)]
-    if name == "fault":
-        fail_at = tuple(int(i) for i in args.fail_at.split(",") if i.strip())
-        spec = w.FaultInjectionSpec(
-            size=2,
-            sleep_seconds=args.sleep_seconds,
-            fail_indices=fail_at,
-        )
-        return w.fault_injection_trial, spec, ["draw 0", "draw 1"]
-    raise ValueError(f"unknown workload {name!r}")
+    spec_cls = WORKLOADS[name].spec_cls
+    values = dict(_CLI_SHAPES.get(name, {}))
+    if args.smoke:
+        values.update(_SMOKE_SHAPES.get(name, {}))
+    values.update(_flag_values(spec_cls, args, _TRIALS_RENAMES.get(name)))
+    if name == "active" and "budgets" in values and "pool_size" not in values:
+        # The candidate pool covers the largest budget twice over.
+        values["pool_size"] = max(spec_cls.pool_size, 2 * max(values["budgets"]))
+    return build_workload(name, values)[1]
 
 
 def _retry_policy(retries: int):
@@ -267,28 +216,6 @@ def _retry_policy(retries: int):
     if retries < 0:
         raise ValueError(f"--retries must be >= 0, got {retries}")
     return RetryPolicy(max_attempts=retries + 1)
-
-
-def _resume_mismatches(meta, workload: str, spec, trials: int, seed) -> list:
-    """Fields where a run's ``meta.json`` disagrees with this invocation.
-
-    The spec is canonicalised through a JSON round-trip so tuples compare
-    equal to the lists ``meta.json`` stores.
-    """
-    import dataclasses
-    import json
-
-    current = {
-        "workload": workload,
-        "spec": json.loads(json.dumps(dataclasses.asdict(spec))),
-        "trials": trials,
-        "master_seed": seed,
-    }
-    return [
-        f"{key}: run has {meta[key]!r}, this invocation has {value!r}"
-        for key, value in current.items()
-        if key in meta and meta[key] != value
-    ]
 
 
 def _run_args_ok(args: argparse.Namespace) -> bool:
@@ -307,44 +234,21 @@ def _run_args_ok(args: argparse.Namespace) -> bool:
     return True
 
 
-def _open_run_ledger(args: argparse.Namespace, workload: str, spec, trials: int, **extra):
-    """Open the run ledger of a ``--ledger`` run, writing its ``meta.json``.
-
-    A ``--resume`` of a run whose ``meta.json`` disagrees with this
-    invocation is refused: the mismatches are printed and None comes
-    back (the caller exits 2).  A resumed run keeps its meta as it is;
-    any other run gets a fresh one, with ``extra`` fields added.
-    """
-    import dataclasses
-    from pathlib import Path
-
+def _run_ledger(args: argparse.Namespace, workload: str):
+    """The run ledger of a ``--ledger`` run, or None without one."""
+    if not args.ledger:
+        return None
     from repro.telemetry import RunLedger, new_run_id
 
-    ledger = RunLedger(Path(args.runs_dir) / (args.run_id or new_run_id(workload)))
-    meta = ledger.read_meta()
-    if args.resume and meta is not None:
-        mismatches = _resume_mismatches(meta, workload, spec, trials, args.seed)
-        if mismatches:
-            print(
-                f"cannot --resume {ledger.run_dir}: its meta.json "
-                "disagrees with this invocation"
-            )
-            for line in mismatches:
-                print("  " + line)
-            return None
-        return ledger
-    ledger.write_meta(
-        {
-            "workload": workload,
-            "spec": dataclasses.asdict(spec),
-            "trials": trials,
-            "workers": args.workers,
-            "shards": args.shards,
-            "master_seed": args.seed,
-            **extra,
-        }
-    )
-    return ledger
+    return RunLedger(Path(args.runs_dir) / (args.run_id or new_run_id(workload)))
+
+
+def _refuse(exc) -> int:
+    """Print why a ``--resume`` was refused and return exit code 2."""
+    print(f"cannot --resume {exc}")
+    for line in exc.details:
+        print("  " + line)
+    return 2
 
 
 def _results_match(a, b) -> bool:
@@ -400,49 +304,48 @@ def _aggregate_cache_stats(results) -> dict:
 
 def cmd_trials(args: argparse.Namespace) -> int:
     from repro.analysis.tables import TableBuilder
-    from repro.runtime import TrialRunner
+    from repro.runtime import ResumeRefused, check_resume, launch_run
+    from repro.runtime.workloads import WORKLOADS
 
     if not _run_args_ok(args):
         return 2
 
-    trial_fn, spec, columns = _resolve_workload(args)
-    kwargs = {"spec": spec}
+    workload = WORKLOADS[args.workload]
+    spec = _trials_spec(args)
+    columns = workload.columns(spec)
+    cache = {}
     if args.cache_dir is not None:
-        if args.workload not in ("fleet", "active"):
+        if not workload.takes_cache:
             print(f"--cache-dir is not supported by the {args.workload} workload")
             return 2
-        kwargs["cache_dir"] = args.cache_dir
-        kwargs["cache_max_bytes"] = args.cache_max_bytes
+        cache = {"cache_dir": args.cache_dir, "cache_max_bytes": args.cache_max_bytes}
     retry = _retry_policy(args.retries)
     print(
         f"workload: {args.trials} {args.workload} trials ({spec!r}), "
         f"master seed {args.seed}"
     )
 
-    ledger = None
-    if args.ledger:
-        ledger = _open_run_ledger(
-            args, args.workload, spec, args.trials, eps=args.eps, delta=args.delta
-        )
-        if ledger is None:
-            return 2
-
-    serial = None
-    if not args.skip_serial:
-        serial = TrialRunner(workers=1).run(
-            trial_fn, args.trials, args.seed, kwargs, retry=retry
-        )
-        print(f"serial:   {serial.summary()}")
-    parallel = TrialRunner(workers=args.workers, shards=args.shards).run(
-        trial_fn,
-        args.trials,
-        args.seed,
-        kwargs,
-        ledger=ledger,
-        resume_from=ledger if args.resume else None,
-        retry=retry,
-        trial_timeout=args.trial_timeout,
+    ledger = _run_ledger(args, args.workload)
+    run = functools.partial(
+        launch_run, args.workload, spec, args.trials, args.seed, retry=retry, **cache
     )
+    try:
+        if args.resume:  # refuse before the serial reference run, not after
+            check_resume(ledger, args.workload, spec, args.trials, args.seed)
+        serial = None
+        if not args.skip_serial:
+            serial = run()
+            print(f"serial:   {serial.summary()}")
+        parallel = run(
+            ledger=ledger,
+            resume=args.resume,
+            meta={"eps": args.eps, "delta": args.delta},
+            workers=args.workers,
+            shards=args.shards,
+            trial_timeout=args.trial_timeout,
+        )
+    except ResumeRefused as exc:
+        return _refuse(exc)
     print(f"parallel: {parallel.summary()}")
 
     table = TableBuilder(
@@ -497,42 +400,18 @@ def cmd_trials(args: argparse.Namespace) -> int:
 
 def cmd_atlas(args: argparse.Namespace) -> int:
     """Run the security-boundary atlas sweep and write boundary maps."""
-    import dataclasses
     import json
-    from pathlib import Path
 
     from repro.analysis import atlas as atlas_mod
+    from repro.runtime import ResumeRefused
 
     if not _run_args_ok(args):
         return 2
 
     spec = atlas_mod.smoke_spec() if args.smoke else atlas_mod.default_spec()
-    overrides = {}
-
-    def csv(raw, conv):
-        return tuple(conv(v.strip()) for v in raw.split(",") if v.strip())
-
-    if args.families is not None:
-        overrides["families"] = csv(args.families, str)
-    if args.learners is not None:
-        overrides["learners"] = csv(args.learners, str)
-    if args.representations is not None:
-        overrides["representations"] = csv(args.representations, str)
-    if args.ns is not None:
-        overrides["ns"] = csv(args.ns, int)
-    if args.ks is not None:
-        overrides["ks"] = csv(args.ks, int)
-    if args.noises is not None:
-        overrides["noise_sigmas"] = csv(args.noises, float)
-    if args.budgets is not None:
-        overrides["budgets"] = csv(args.budgets, int)
-    if args.replicates is not None:
-        overrides["replicates"] = args.replicates
-    if args.test_size is not None:
-        overrides["test_size"] = args.test_size
-    if overrides:
-        spec = dataclasses.replace(spec, **overrides)
-
+    spec = dataclasses.replace(
+        spec, **_flag_values(type(spec), args, {"noise_sigmas": "noises"})
+    )
     cells = atlas_mod.expand_grid(spec)
     trials = atlas_mod.num_trials(spec)
     print(
@@ -540,24 +419,22 @@ def cmd_atlas(args: argparse.Namespace) -> int:
         f"{trials} trials, master seed {args.seed}"
     )
 
-    ledger = None
-    if args.ledger:
-        ledger = _open_run_ledger(args, "atlas", spec, trials)
-        if ledger is None:
-            return 2
-
-    payload, report = atlas_mod.run_atlas(
-        spec,
-        master_seed=args.seed,
-        workers=args.workers,
-        shards=args.shards,
-        ledger=ledger,
-        resume=args.resume,
-        cache_dir=args.cache_dir,
-        cache_max_bytes=args.cache_max_bytes,
-        frontier=args.frontier,
-        retry=_retry_policy(args.retries),
-    )
+    ledger = _run_ledger(args, "atlas")
+    try:
+        payload, report = atlas_mod.run_atlas(
+            spec,
+            master_seed=args.seed,
+            workers=args.workers,
+            shards=args.shards,
+            ledger=ledger,
+            resume=args.resume,
+            cache_dir=args.cache_dir,
+            cache_max_bytes=args.cache_max_bytes,
+            frontier=args.frontier,
+            retry=_retry_policy(args.retries),
+        )
+    except ResumeRefused as exc:
+        return _refuse(exc)
     print(f"run: {report.summary()}")
     for map_ in payload["maps"]:
         frontier_bits = ", ".join(
@@ -622,8 +499,6 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_docs_bench(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
     from repro.tooling.benchdocs import render_benchmarks_markdown
 
     content = render_benchmarks_markdown(args.results)
@@ -673,8 +548,6 @@ def cmd_bench_kernels(args: argparse.Namespace) -> int:
     payload = run_kernel_bench(cases)
     print(render_table(payload))
     if args.out is not None:
-        from pathlib import Path
-
         write_results(payload, Path(args.out))
         print(f"wrote {args.out}")
 
@@ -707,8 +580,6 @@ def cmd_bench_fleet(args: argparse.Namespace) -> int:
     payload = run_fleet_bench(cases)
     print(render_table(payload))
     if args.out is not None:
-        from pathlib import Path
-
         write_results(payload, Path(args.out))
         print(f"wrote {args.out}")
 
@@ -741,8 +612,6 @@ def cmd_bench_store(args: argparse.Namespace) -> int:
     payload = run_store_bench(cases)
     print(render_table(payload))
     if args.out is not None:
-        from pathlib import Path
-
         write_results(payload, Path(args.out))
         print(f"wrote {args.out}")
 
@@ -776,8 +645,6 @@ def cmd_bench_active(args: argparse.Namespace) -> int:
     payload = run_active_bench(cases)
     print(render_table(payload))
     if args.out is not None:
-        from pathlib import Path
-
         write_results(payload, Path(args.out))
         print(f"wrote {args.out}")
 
@@ -802,15 +669,7 @@ def cmd_conformance(args: argparse.Namespace) -> int:
     from repro.analysis.tables import TableBuilder
     from repro.conformance import run_suite
 
-    ledger = None
-    if args.ledger:
-        from pathlib import Path
-
-        from repro.telemetry import RunLedger, new_run_id
-
-        run_id = args.run_id or new_run_id("conformance")
-        ledger = RunLedger(Path(args.runs_dir) / run_id)
-
+    ledger = _run_ledger(args, "conformance")
     scale = 0.1 if args.smoke else 1.0
     suite = run_suite(
         master_seed=args.seed,
@@ -886,6 +745,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.runtime.workloads import WORKLOADS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Pitfalls in ML-based adversary modeling — reproduction toolkit",
@@ -922,9 +783,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trials.add_argument(
         "--workload",
-        choices=("curve", "active", "lmn", "km", "sq", "fault", "fleet", "skew"),
+        choices=sorted(WORKLOADS),
         default="curve",
-        help="which trial workload to fan out",
+        help="which registered trial workload to fan out",
     )
     trials.add_argument("--trials", type=int, default=32, help="number of trials")
     trials.add_argument(
@@ -940,164 +801,123 @@ def build_parser() -> argparse.ArgumentParser:
         help="independent work-stealing process pools; each writes its own "
         "ledger-shardNN.jsonl, merged transparently on read/resume",
     )
+    trials.add_argument("--n", type=int, help="challenge length (workload default)")
     trials.add_argument(
-        "--n", type=int, default=None, help="challenge length (workload default)"
-    )
-    trials.add_argument(
-        "--k",
-        type=int,
-        default=None,
-        help="XOR chain count (1 = plain arbiter; workload default)",
+        "--k", type=int, help="XOR chain count (1 = plain arbiter; workload default)"
     )
     trials.add_argument(
         "--budgets",
-        type=str,
-        default="100,400,1600",
-        help="comma-separated CRP budgets (curve workload)",
+        type=_csv(int),
+        help="comma-separated query budgets (curve, active, atlas workloads)",
     )
-    trials.add_argument(
-        "--test-size", type=int, default=None, help="held-out evaluation size"
-    )
+    trials.add_argument("--test-size", type=int, help="held-out evaluation size")
     trials.add_argument(
         "--strategy",
         choices=("passive", "uncertainty", "committee", "fastslow"),
-        default="uncertainty",
         help="query-selection strategy (active workload)",
     )
     trials.add_argument(
-        "--batch",
-        type=int,
-        default=16,
-        help="queries per fit/select round (active workload)",
+        "--batch", type=int, help="queries per fit/select round (active workload)"
     )
     trials.add_argument(
         "--pool-size",
         type=int,
-        default=None,
-        help="candidate pool size (active workload; default covers the "
-        "largest budget twice over)",
+        help="candidate pool size (active workload; with --budgets the "
+        "default covers the largest budget twice over)",
     )
     trials.add_argument(
         "--committee",
         type=int,
-        default=3,
         help="committee size for --strategy committee (active workload)",
     )
     trials.add_argument(
         "--fast-fraction",
         type=float,
-        default=0.5,
         help="budget fraction spent in the random fast phase for "
         "--strategy fastslow (active workload)",
     )
     trials.add_argument(
         "--noise-rate",
         type=float,
-        default=0.0,
         help="per-answer flip probability on the oracle (active workload)",
     )
+    trials.add_argument("--degree", type=int, help="LMN spectrum degree (lmn workload)")
+    trials.add_argument("--m", type=int, help="sample size (lmn, chow workloads)")
     trials.add_argument(
-        "--degree", type=int, default=3, help="LMN spectrum degree (lmn workload)"
+        "--theta", type=float, help="KM coefficient threshold (km workload)"
     )
+    trials.add_argument("--bucket-samples", type=int, help="KM bucket-weight samples")
     trials.add_argument(
-        "--m", type=int, default=25_000, help="LMN training sample size (lmn workload)"
+        "--coefficient-samples", type=int, help="KM coefficient samples"
     )
-    trials.add_argument(
-        "--theta", type=float, default=0.25, help="KM coefficient threshold (km workload)"
-    )
-    trials.add_argument(
-        "--bucket-samples", type=int, default=2048, help="KM bucket-weight samples"
-    )
-    trials.add_argument(
-        "--coefficient-samples", type=int, default=8192, help="KM coefficient samples"
-    )
-    trials.add_argument(
-        "--tau", type=float, default=0.05, help="SQ oracle tolerance (sq workload)"
-    )
+    trials.add_argument("--tau", type=float, help="SQ oracle tolerance (sq workload)")
     trials.add_argument(
         "--mode",
         choices=("sampling", "adversarial"),
-        default="sampling",
         help="SQ oracle mode (sq workload)",
     )
     trials.add_argument(
         "--family",
         choices=("arbiter", "xor", "br", "ltf"),
-        default="arbiter",
         help="PUF family of the population (fleet workload)",
     )
     trials.add_argument(
         "--size",
         type=int,
-        default=None,
-        help="instances per fleet (fleet workload; default 256, 48 smoke)",
+        help="instances per fleet (fleet workload; default 256, 48 smoke), "
+        "or draws per trial (skew, fault workloads)",
     )
     trials.add_argument(
         "--tier",
         choices=("float64", "float32", "int8"),
-        default="float64",
         help="dtype tier for the stacked GEMM (fleet workload)",
     )
     trials.add_argument(
         "--noise-sigma",
         type=float,
-        default=0.05,
         help="measurement noise on the margins (fleet workload)",
     )
     trials.add_argument(
         "--repetitions",
         type=int,
-        default=5,
-        help="majority-vote repetitions (fleet workload)",
+        help="majority-vote repetitions (fleet workload; default 5, 3 smoke)",
     )
     trials.add_argument(
         "--fleet-m",
         type=int,
-        default=None,
         help="challenges per fleet trial (fleet workload; default 2000, 400 smoke)",
     )
     trials.add_argument(
         "--fail-at",
-        type=str,
-        default="",
+        type=_csv(int),
         help="comma-separated trial indices that raise (fault workload)",
     )
     trials.add_argument(
         "--sleep-seconds",
         type=float,
-        default=0.2,
         help="per-trial sleep, a window for kill tests (fault workload)",
     )
     trials.add_argument(
         "--slow-count",
         type=int,
-        default=4,
         help="leading trial indices that sleep --slow-seconds (skew workload)",
     )
     trials.add_argument(
-        "--slow-seconds",
-        type=float,
-        default=0.4,
-        help="sleep for the slow trials (skew workload)",
+        "--slow-seconds", type=float, help="sleep for the slow trials (skew workload)"
     )
     trials.add_argument(
-        "--fast-seconds",
-        type=float,
-        default=0.01,
-        help="sleep for the fast trials (skew workload)",
+        "--fast-seconds", type=float, help="sleep for the fast trials (skew workload)"
     )
     trials.add_argument(
         "--cache-dir",
         type=str,
-        default=None,
         help="memoise workload artifacts in an ArtifactStore at this "
-        "directory (fleet workload); warm reruns replay instead of "
-        "regenerating",
+        "directory (active, atlas, chow, fleet workloads); warm reruns "
+        "replay instead of regenerating",
     )
     trials.add_argument(
         "--cache-max-bytes",
         type=int,
-        default=None,
         help="LRU size cap for --cache-dir (default: unbounded, or "
         "$REPRO_CACHE_MAX_BYTES)",
     )
@@ -1124,7 +944,6 @@ def build_parser() -> argparse.ArgumentParser:
     trials.add_argument(
         "--trial-timeout",
         type=float,
-        default=None,
         help="seconds before a pooled trial counts as hung (default: no limit)",
     )
     trials.add_argument(
@@ -1147,10 +966,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--runs-dir", type=str, default="runs", help="parent directory for run ledgers"
     )
     trials.add_argument(
-        "--run-id",
-        type=str,
-        default=None,
-        help="explicit run id (default: <workload>-<timestamp>)",
+        "--run-id", type=str, help="explicit run id (default: <workload>-<timestamp>)"
     )
     trials.add_argument(
         "--eps", type=float, default=0.05, help="PAC accuracy for the bound checks"
@@ -1325,47 +1141,30 @@ def build_parser() -> argparse.ArgumentParser:
         "--retries", type=int, default=0, help="retries per infra failure"
     )
     atlas_p.add_argument(
-        "--families",
-        type=str,
-        default=None,
-        help="comma-separated PUF families (xor, cdc_xor)",
+        "--families", type=_csv(str), help="comma-separated PUF families (xor, cdc_xor)"
     )
     atlas_p.add_argument(
         "--learners",
-        type=str,
-        default=None,
+        type=_csv(str),
         help="comma-separated learners (lr, mlp, reliability)",
     )
     atlas_p.add_argument(
         "--representations",
-        type=str,
-        default=None,
+        type=_csv(str),
         help="comma-separated challenge representations (parity, raw)",
     )
     atlas_p.add_argument(
-        "--ns", type=str, default=None, help="comma-separated challenge lengths"
+        "--ns", type=_csv(int), help="comma-separated challenge lengths"
+    )
+    atlas_p.add_argument("--ks", type=_csv(int), help="comma-separated chain counts")
+    atlas_p.add_argument(
+        "--noises", type=_csv(float), help="comma-separated measurement-noise sigmas"
     )
     atlas_p.add_argument(
-        "--ks", type=str, default=None, help="comma-separated chain counts"
+        "--budgets", type=_csv(int), help="comma-separated sample budgets m"
     )
-    atlas_p.add_argument(
-        "--noises",
-        type=str,
-        default=None,
-        help="comma-separated measurement-noise sigmas",
-    )
-    atlas_p.add_argument(
-        "--budgets",
-        type=str,
-        default=None,
-        help="comma-separated sample budgets m",
-    )
-    atlas_p.add_argument(
-        "--replicates", type=int, default=None, help="replicates per cell"
-    )
-    atlas_p.add_argument(
-        "--test-size", type=int, default=None, help="held-out evaluation size"
-    )
+    atlas_p.add_argument("--replicates", type=int, help="replicates per cell")
+    atlas_p.add_argument("--test-size", type=int, help="held-out evaluation size")
     atlas_p.add_argument(
         "--frontier",
         type=float,
@@ -1380,35 +1179,24 @@ def build_parser() -> argparse.ArgumentParser:
     atlas_p.add_argument(
         "--runs-dir", type=str, default="runs", help="parent directory for runs"
     )
-    atlas_p.add_argument(
-        "--run-id", type=str, default=None, help="explicit run id"
-    )
+    atlas_p.add_argument("--run-id", type=str, help="explicit run id")
     atlas_p.add_argument(
         "--resume",
         action="store_true",
         help="replay completed trials from --run-id's ledger, run the rest",
     )
     atlas_p.add_argument(
-        "--cache-dir",
-        type=str,
-        default=None,
-        help="ArtifactStore directory for CRP-pool warm starts",
+        "--cache-dir", type=str, help="ArtifactStore directory for CRP-pool warm starts"
     )
-    atlas_p.add_argument(
-        "--cache-max-bytes", type=int, default=None, help="cache size cap"
-    )
+    atlas_p.add_argument("--cache-max-bytes", type=int, help="cache size cap")
     atlas_p.add_argument(
         "--out",
         type=str,
-        default=None,
         help="directory for boundary_map.json + atlas.md "
         "(default: the run directory when --ledger is set)",
     )
     atlas_p.add_argument(
-        "--bench-out",
-        type=str,
-        default=None,
-        help="write the BENCH_atlas.json payload here",
+        "--bench-out", type=str, help="write the BENCH_atlas.json payload here"
     )
     atlas_p.set_defaults(func=cmd_atlas)
 

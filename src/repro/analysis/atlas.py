@@ -43,7 +43,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.runtime.runner import TrialContext, TrialRunner
+from repro.runtime.launcher import launch_run
+from repro.runtime.runner import TrialContext
 
 #: Canonical axis orders; specs are reordered onto these regardless of
 #: how the caller listed the values, so cell enumeration (and therefore
@@ -231,21 +232,12 @@ def cell_of_trial(spec: AtlasTrialSpec, index: int) -> Tuple[AtlasCell, int]:
 
 
 def _build_puf(cell: AtlasCell, rng: np.random.Generator):
-    """Instantiate the cell's device family."""
-    from repro.pufs.arbiter import ArbiterPUF
+    """Instantiate the cell's device family (a 1-chain XOR is an arbiter)."""
     from repro.pufs.cdc_xor import CDCXORArbiterPUF
     from repro.pufs.xor_arbiter import XORArbiterPUF
 
-    if cell.family == "cdc_xor":
-        return CDCXORArbiterPUF(
-            cell.n, cell.k, rng, noise_sigma=cell.noise_sigma
-        )
-    if cell.k == 1:
-        # A 1-chain XOR arbiter *is* an arbiter chain; constructing the
-        # plain device keeps the k = 1 column comparable across families.
-        puf = XORArbiterPUF(cell.n, 1, rng, noise_sigma=cell.noise_sigma)
-        return puf
-    return XORArbiterPUF(cell.n, cell.k, rng, noise_sigma=cell.noise_sigma)
+    family = CDCXORArbiterPUF if cell.family == "cdc_xor" else XORArbiterPUF
+    return family(cell.n, cell.k, rng, noise_sigma=cell.noise_sigma)
 
 
 def atlas_trial(
@@ -588,23 +580,24 @@ def run_atlas(
 ):
     """Run the full grid and reduce it; returns ``(payload, report)``.
 
-    ``ledger`` is an optional :class:`~repro.telemetry.ledger.RunLedger`;
-    with ``resume=True`` completed trials replay from it bit-identically
-    and only the missing indices execute (exactly the ``repro trials``
-    semantics — the atlas is one ordinary ``TrialRunner`` run).
+    ``ledger`` is an optional :class:`~repro.telemetry.ledger.RunLedger`
+    (or run directory); the run goes through
+    :func:`~repro.runtime.launcher.launch_run`, so it gets a ``meta.json``
+    and, with ``resume=True``, completed trials replay from it
+    bit-identically and only the missing indices execute (exactly the
+    ``repro trials`` semantics — the atlas is one ordinary run).
     """
-    trials = num_trials(spec)
-    kwargs: Dict[str, object] = {"spec": spec}
-    if cache_dir is not None:
-        kwargs["cache_dir"] = cache_dir
-        kwargs["cache_max_bytes"] = cache_max_bytes
-    report = TrialRunner(workers=workers, shards=shards).run(
-        atlas_trial,
-        trials,
+    report = launch_run(
+        "atlas",
+        spec,
+        num_trials(spec),
         master_seed,
-        kwargs,
         ledger=ledger,
-        resume_from=ledger if resume else None,
+        resume=resume,
+        workers=workers,
+        shards=shards,
+        cache_dir=cache_dir,
+        cache_max_bytes=cache_max_bytes,
         retry=retry,
     )
     values = {r.index: r.value for r in report.results if r.ok}

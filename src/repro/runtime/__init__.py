@@ -18,10 +18,15 @@ The three pieces compose into the standard experiment loop:
   hit/miss/bytes stats;
 * :mod:`repro.runtime.sharding` — the work-stealing scheduler every pool
   run draws its chunks from, and the multi-pool execution behind
-  ``TrialRunner(shards=N)``, with per-shard mergeable ledgers.
+  ``TrialRunner(shards=N)``, with per-shard mergeable ledgers;
+* :mod:`repro.runtime.launcher` — :func:`launch_run`, the one way the
+  CLI, the atlas and the service run a registered workload with a
+  ledger: open the run directory, refuse a mismatched resume, write
+  ``meta.json``, run.
 
-Picklable standard workloads live in :mod:`repro.runtime.workloads`
-(imported explicitly, not re-exported, to keep this package import-light).
+Picklable standard workloads and their name registry ``WORKLOADS`` live
+in :mod:`repro.runtime.workloads` (imported explicitly, not re-exported,
+to keep this package import-light).
 """
 
 from repro.runtime.chunking import (
@@ -31,6 +36,7 @@ from repro.runtime.chunking import (
     generate_crps_blocked,
     iter_blocks,
 )
+from repro.runtime.launcher import ResumeRefused, check_resume, launch_run
 from repro.runtime.runner import (
     RetryPolicy,
     TrialContext,
@@ -51,6 +57,9 @@ from repro.runtime.sharding import (
 from repro.runtime.store import ArtifactStore, artifact_digest, hash_challenges
 
 __all__ = [
+    "ResumeRefused",
+    "check_resume",
+    "launch_run",
     "ArtifactStore",
     "artifact_digest",
     "hash_challenges",

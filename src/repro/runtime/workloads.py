@@ -1,22 +1,25 @@
-"""Picklable trial workloads for the parallel runtime.
+"""Picklable trial workloads for the parallel runtime, and their registry.
 
 :class:`~repro.runtime.runner.TrialRunner` ships trial functions to
 worker processes, so they must be module-level callables.  This module
-collects the standard experiment shapes — the learning-curve trial used
-by ``python -m repro trials`` and the CRP-collection trial the cache
-benchmarks replay — with all parameters passed as plain dataclasses.
+collects the standard experiment shapes with all parameters passed as
+plain dataclasses, and :data:`WORKLOADS` names them: it is the one table
+``python -m repro trials``, the atlas and the service all resolve a
+workload name through.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import os
 import time
 from pathlib import Path
-from typing import Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from repro.analysis.atlas import AtlasTrialSpec, atlas_trial
 from repro.kernels import CharacterBasis, DEFAULT_CHARACTER_BLOCK
 from repro.learning.logistic import LogisticAttack
 from repro.pufs.arbiter import ArbiterPUF, parity_transform
@@ -658,3 +661,83 @@ def sq_trial(ctx: TrialContext, spec: SQTrialSpec) -> np.ndarray:
         test = uniform_challenges(spec.test_size, spec.n, query_rng)
     accuracy = float(np.mean(result.predict(test) == target(test)))
     return np.array([accuracy, float(result.queries_made)])
+
+
+class Workload(NamedTuple):
+    """A registered workload: its trial function, spec class and columns.
+
+    ``columns(spec)`` labels the entries of one trial's value array.
+    """
+
+    trial_fn: Callable[..., np.ndarray]
+    spec_cls: type
+    columns: Callable[[Any], List[str]]
+
+    @property
+    def takes_cache(self) -> bool:
+        """Whether the trial function memoises into an ``ArtifactStore``."""
+        return "cache_dir" in inspect.signature(self.trial_fn).parameters
+
+
+def _budget_columns(spec: Any) -> List[str]:
+    return [f"acc @ {b}" for b in spec.sorted_budgets]
+
+
+def _draw_columns(spec: Any) -> List[str]:
+    return [f"draw {i}" for i in range(spec.size)]
+
+
+#: Workload name -> :class:`Workload`, for every workload the CLI and the
+#: service can run.
+WORKLOADS: Dict[str, Workload] = {
+    "curve": Workload(learning_curve_trial, LearningCurveSpec, _budget_columns),
+    "active": Workload(active_trial, ActiveTrialSpec, _budget_columns),
+    "lmn": Workload(lmn_trial, LMNTrialSpec, lambda spec: ["captured wt", "accuracy"]),
+    "km": Workload(km_trial, KMTrialSpec, lambda spec: ["accuracy", "MQ queries"]),
+    "sq": Workload(sq_trial, SQTrialSpec, lambda spec: ["accuracy", "SQ queries"]),
+    "fleet": Workload(
+        fleet_eval_trial,
+        FleetEvalSpec,
+        lambda spec: ["uniqueness", "uniformity", "reliability"],
+    ),
+    "chow": Workload(
+        chow_brpuf_trial,
+        ChowTrialSpec,
+        lambda spec: [f"chow {i}" for i in range(spec.n + 1)],
+    ),
+    "skew": Workload(skewed_sleep_trial, SkewedSleepSpec, _draw_columns),
+    "fault": Workload(fault_injection_trial, FaultInjectionSpec, _draw_columns),
+    "atlas": Workload(atlas_trial, AtlasTrialSpec, lambda spec: ["accuracy", "queries"]),
+}
+
+
+class UnknownWorkload(ValueError):
+    """The requested workload name is not in :data:`WORKLOADS`."""
+
+
+def build_workload(name: str, spec: Optional[Dict[str, Any]] = None):
+    """``(trial_fn, spec_instance)`` for a workload name + JSON spec dict.
+
+    Spec values arrive as JSON types; lists are converted to tuples so
+    tuple-typed dataclass fields (``budgets``, ``fail_indices``)
+    round-trip.  Unknown workloads and unknown/invalid spec fields raise
+    ``ValueError``.
+    """
+    if name not in WORKLOADS:
+        raise UnknownWorkload(
+            f"unknown workload {name!r}; expected one of {sorted(WORKLOADS)}"
+        )
+    trial_fn, spec_cls, _ = WORKLOADS[name]
+    overrides = dict(spec or {})
+    known = {f.name for f in dataclasses.fields(spec_cls)}
+    unknown = sorted(set(overrides) - known)
+    if unknown:
+        raise ValueError(
+            f"unknown spec field(s) {unknown} for workload {name!r}; "
+            f"expected a subset of {sorted(known)}"
+        )
+    coerced = {
+        key: tuple(value) if isinstance(value, list) else value
+        for key, value in overrides.items()
+    }
+    return trial_fn, spec_cls(**coerced)

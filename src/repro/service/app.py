@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import asyncio
 import contextvars
-import dataclasses
 import functools
 import json
 import os
@@ -47,7 +46,8 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Set
 
-from repro.runtime.runner import TrialResult, TrialRunner, trial_record
+from repro.runtime.launcher import launch_run
+from repro.runtime.runner import TrialResult, trial_record
 from repro.telemetry.ledger import RunLedger
 from repro.telemetry.meter import QueryMeter, metered
 
@@ -66,6 +66,9 @@ from .quotas import QuotaExceeded, QuotaLedger
 
 SERVICE_INFO_NAME = "service.json"
 
+#: Seconds a client has to send one request, head and body together.
+REQUEST_READ_TIMEOUT = 30.0
+
 #: Terminal job states (never re-adopted, never re-queued).
 TERMINAL_STATES = frozenset({"done", "failed", "cancelled"})
 
@@ -80,7 +83,7 @@ def run_job_sync(
     emit: Callable[[TrialResult], None],
     cancel: threading.Event,
 ) -> Dict[str, Any]:
-    """Execute one job on ``TrialRunner`` and return its result payload.
+    """Execute one job through ``launch_run`` and return its result payload.
 
     Always resumes from the job's own ledger: on a fresh job the ledger
     is empty and this is a no-op; on an adopted job it replays every
@@ -89,31 +92,22 @@ def run_job_sync(
     restarts the job survived).
     """
     spec = job.spec
-    trial_fn, workload_spec = build_workload(spec.workload, spec.spec)
-    ledger = RunLedger(job_dir)
-    if ledger.read_meta() is None:
-        ledger.write_meta(
-            {
-                "job_id": job.job_id,
-                "workload": spec.workload,
-                "spec": dataclasses.asdict(workload_spec),
-                "trials": spec.trials,
-                "workers": spec.workers,
-                "shards": spec.shards,
-                "master_seed": spec.seed,
-                "api_key": spec.api_key,
-                "declared_budget": spec.budget,
-            }
-        )
-    runner = TrialRunner(workers=spec.workers, shards=spec.shards)
+    _, workload_spec = build_workload(spec.workload, spec.spec)
     with metered(QueryMeter()):
-        report = runner.run(
-            trial_fn,
+        report = launch_run(
+            spec.workload,
+            workload_spec,
             spec.trials,
             spec.seed,
-            {"spec": workload_spec},
-            ledger=ledger,
-            resume_from=ledger,
+            ledger=job_dir,
+            resume=True,
+            meta={
+                "job_id": job.job_id,
+                "api_key": spec.api_key,
+                "declared_budget": spec.budget,
+            },
+            workers=spec.workers,
+            shards=spec.shards,
             on_result=emit,
             cancel=cancel,
         )
@@ -126,6 +120,7 @@ def run_job_sync(
     values = [trial_record(r)["value"] for r in report.results]
     digest = values_digest(values)
 
+    ledger = RunLedger(job_dir)
     meta = ledger.read_meta() or {}
     meta["quota"] = {
         "api_key": spec.api_key,
@@ -416,9 +411,11 @@ class ReproService:
     async def _serve_one(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + REQUEST_READ_TIMEOUT
         try:
             head = await asyncio.wait_for(
-                reader.readuntil(b"\r\n\r\n"), timeout=30.0
+                reader.readuntil(b"\r\n\r\n"), timeout=REQUEST_READ_TIMEOUT
             )
         except asyncio.TimeoutError:
             return
@@ -428,15 +425,24 @@ class ReproService:
             return
         try:
             method, path, query, headers = routes.parse_request_head(head[:-4])
-            length = int(headers.get("content-length", "0") or 0)
+            raw_length = headers.get("content-length", "0") or "0"
+            if not (raw_length.isascii() and raw_length.isdigit()):
+                raise routes.BadRequest(f"invalid Content-Length {raw_length!r}")
+            length = int(raw_length)
             if length > routes.MAX_BODY_BYTES:
                 writer.write(
                     routes.error_response(413, "request body too large").encode()
                 )
                 await writer.drain()
                 return
-            body = await reader.readexactly(length) if length else b""
+            body = b""
+            if length:
+                body = await asyncio.wait_for(
+                    reader.readexactly(length), timeout=deadline - loop.time()
+                )
             request = routes.Request(method, path, query, headers, body)
+        except asyncio.TimeoutError:
+            return
         except routes.BadRequest as exc:
             writer.write(routes.error_response(400, str(exc)).encode())
             await writer.drain()

@@ -111,6 +111,9 @@ def test_sigkill_mid_atlas_then_resume_is_bit_identical(tmp_path):
         env=env,
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
+        # Its own process group, so the kill below takes the pool
+        # workers down with the CLI instead of orphaning them.
+        start_new_session=True,
     )
     try:
         deadline = time.monotonic() + 120
@@ -122,7 +125,7 @@ def test_sigkill_mid_atlas_then_resume_is_bit_identical(tmp_path):
             time.sleep(0.005)
         else:
             pytest.fail("no ledger records appeared within 120s")
-        os.kill(proc.pid, signal.SIGKILL)
+        os.killpg(proc.pid, signal.SIGKILL)
     finally:
         proc.wait(timeout=30)
 

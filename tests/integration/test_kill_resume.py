@@ -62,10 +62,13 @@ def test_sigkill_mid_run_then_resume_completes_bit_identical(tmp_path):
         env=env,
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
+        # Its own process group, so the kill below takes the pool
+        # workers down with the CLI instead of orphaning them.
+        start_new_session=True,
     )
     try:
         # Wait until some trials have landed in the ledger, then kill -9
-        # the parent mid-run (its pool workers are orphaned too).
+        # the CLI and its pool workers mid-run.
         deadline = time.monotonic() + 60
         while time.monotonic() < deadline:
             if ledger_path.exists() and ledger_path.stat().st_size > 0:
@@ -75,7 +78,7 @@ def test_sigkill_mid_run_then_resume_completes_bit_identical(tmp_path):
             time.sleep(0.05)
         else:
             pytest.fail("no ledger records appeared within 60s")
-        os.kill(proc.pid, signal.SIGKILL)
+        os.killpg(proc.pid, signal.SIGKILL)
     finally:
         proc.wait(timeout=30)
 
@@ -172,6 +175,9 @@ def test_sigkill_mid_sharded_run_then_resume_completes_bit_identical(tmp_path):
         env=env,
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
+        # Its own process group, so the kill below takes the pool
+        # workers down with the CLI instead of orphaning them.
+        start_new_session=True,
     )
     try:
         deadline = time.monotonic() + 60
@@ -184,7 +190,7 @@ def test_sigkill_mid_sharded_run_then_resume_completes_bit_identical(tmp_path):
             time.sleep(0.05)
         else:
             pytest.fail("no shard ledger records appeared within 60s")
-        os.kill(proc.pid, signal.SIGKILL)
+        os.killpg(proc.pid, signal.SIGKILL)
     finally:
         proc.wait(timeout=30)
 

@@ -8,11 +8,13 @@ the HTTP bytes and the ``TrialRunner`` underneath.
 
 import http.client
 import json
+import socket
 import time
 
 import pytest
 
 from repro.runtime.runner import TrialRunner
+from repro.service import app as app_module
 from repro.service.client import ServiceError
 from repro.service.jobs import Job, JobSpec, JobStore, build_workload, values_digest
 from repro.telemetry.ledger import RunLedger
@@ -143,6 +145,46 @@ class TestHttpErrors:
         with pytest.raises(ServiceError) as exc:
             client.request("GET", f"/v1/jobs/{job['job_id']}/events")
         assert exc.value.status == 426
+
+
+def raw_exchange(live, request: bytes, timeout: float = 10.0) -> bytes:
+    """Send raw request bytes and read until the server closes."""
+    with socket.create_connection(
+        (live.service.host, live.service.port), timeout=timeout
+    ) as sock:
+        sock.sendall(request)
+        chunks = []
+        while True:
+            data = sock.recv(4096)
+            if not data:
+                return b"".join(chunks)
+            chunks.append(data)
+
+
+class TestRequestFraming:
+    @pytest.mark.parametrize("length", ["abc", "-5", "+5", "1e3"])
+    def test_bad_content_length_is_400(self, live_service, length):
+        live = live_service()
+        reply = raw_exchange(
+            live,
+            f"POST /v1/jobs HTTP/1.1\r\nContent-Length: {length}\r\n\r\n".encode(),
+        )
+        assert reply.startswith(b"HTTP/1.1 400"), reply
+        assert b"Content-Length" in reply
+
+    def test_stalled_body_is_dropped_at_the_read_deadline(
+        self, live_service, monkeypatch
+    ):
+        monkeypatch.setattr(app_module, "REQUEST_READ_TIMEOUT", 0.5)
+        live = live_service()
+        start = time.monotonic()
+        reply = raw_exchange(
+            live,
+            b"POST /v1/jobs HTTP/1.1\r\nContent-Length: 100\r\n\r\n{\"work",
+        )
+        assert reply == b""
+        assert time.monotonic() - start < 5
+        assert live.client().health()["ok"] is True  # still serving
 
 
 class TestQuotaEnforcement:
